@@ -47,6 +47,7 @@ from .lattice import (
     sum_gate,
     to_relative_basis,
     twirl_displacement,
+    twirled_relative,
 )
 from .spin import (
     SpinParams,

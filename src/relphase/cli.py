@@ -18,13 +18,7 @@ import numpy as np
 from .blocks import default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
 from .fock import coherent_vector, fidelity_pure_mixed, purity
-from .lattice import (
-    QuditPairState,
-    relative_pair,
-    reduced_relative,
-    sum_gate,
-    twirl_displacement,
-)
+from .lattice import QuditPairState, relative_pair, sum_gate, twirled_relative
 from .spin import contraction_overlap
 from .twirl import (
     coherence_witness,
@@ -32,6 +26,7 @@ from .twirl import (
     parse_prior,
     random_commutant_observable,
     twirl_single_mode,
+    von_mises_prior,
 )
 
 EXIT_OK = 0
@@ -162,6 +157,8 @@ def cmd_contract_overlap(args) -> int:
 
 
 def cmd_twirl_demo(args) -> int:
+    if args.n_observables < 0:
+        raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
     alpha = args.alpha * np.exp(1j * args.alpha_phase)
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
     prior_specs = args.prior if args.prior else list(DEFAULT_TWIRL_PRIORS)
@@ -195,6 +192,13 @@ def cmd_twirl_demo(args) -> int:
     return EXIT_OK
 
 
+def _shift(text: str, d: int) -> int:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"lattice shift must be finite, got {text!r}")
+    return int(value) % d
+
+
 def parse_shift_prior(spec: str, d: int) -> np.ndarray:
     """Shift-prior flavor of the shared prior syntax: numeric parameters are
     lattice shifts, ``vonmises:<kappa>`` weights exp(kappa cos(2 pi X / d))."""
@@ -205,20 +209,18 @@ def parse_shift_prior(spec: str, d: int) -> np.ndarray:
         return np.full(d, 1.0 / d)
     if name == "point":
         weights = np.zeros(d)
-        weights[int(float(arg)) % d] = 1.0
+        weights[_shift(arg, d)] = 1.0
         return weights
     if name == "twopoint":
         parts = arg.split(",")
         if len(parts) != 2:
             raise ValueError(f"twopoint prior needs two shifts, got {arg!r}")
         weights = np.zeros(d)
-        weights[int(float(parts[0])) % d] += 0.5
-        weights[int(float(parts[1])) % d] += 0.5
+        weights[_shift(parts[0], d)] += 0.5
+        weights[_shift(parts[1], d)] += 0.5
         return weights
     if name == "vonmises":
-        kappa = float(arg)
-        weights = np.exp(kappa * np.cos(2.0 * np.pi * np.arange(d) / d))
-        return weights / weights.sum()
+        return von_mises_prior(float(arg), n_points=d).weights
     if name == "grid":
         weights = np.zeros(d)
         with open(arg) as handle:
@@ -229,7 +231,7 @@ def parse_shift_prior(spec: str, d: int) -> np.ndarray:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise ValueError(f"prior file row must be 'shift,weight', got {line!r}")
-                weights[int(float(parts[0])) % d] += float(parts[1])
+                weights[_shift(parts[0], d)] += float(parts[1])
         return weights
     raise ValueError(f"unknown prior spec {spec!r}")
 
@@ -268,12 +270,9 @@ def cmd_way_demo(args) -> int:
     for d in dims:
         for scenario in DEFAULT_WAY_SCENARIOS:
             state = _way_scenario(scenario, d, rng)
-            input_rel = reduced_relative(
-                twirl_displacement(state, np.eye(d)[0])  # point prior at X = 0: the input itself
-            )
+            input_rel = twirled_relative(state, np.eye(d)[0])  # point prior at X = 0: the input
             for spec in prior_specs:
-                weights = parse_shift_prior(spec, d)
-                rho_rel = reduced_relative(twirl_displacement(state, weights))
+                rho_rel = twirled_relative(state, parse_shift_prior(spec, d))
                 overlap = float(np.sum(input_rel.matrix * rho_rel.matrix.T).real)
                 rows.append(
                     {

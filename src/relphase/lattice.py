@@ -25,6 +25,7 @@ __all__ = [
     "sum_gate",
     "to_relative_basis",
     "twirl_displacement",
+    "twirled_relative",
 ]
 
 PRODUCT = "product"
@@ -110,6 +111,8 @@ def _check_shift_prior(weights, d: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (d,):
         raise ValueError(f"shift prior must have {d} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("shift prior weights must be finite")
     if np.any(weights < 0):
         raise ValueError("shift prior weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:
@@ -138,6 +141,20 @@ def reduced_relative(rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(f"pair dimension {rho.dim} is not a perfect square")
     reshaped = rho.matrix.reshape(d, d, d, d)
     return DensityMatrix(np.einsum("iaja->ij", reshaped), basis="lattice_rel")
+
+
+def twirled_relative(state: QuditPairState, prior) -> DensityMatrix:
+    """reduced_relative(twirl_displacement(state, prior)) without the
+    d^2 x d^2 matrix.
+
+    D(X) moves only x_a, so tracing x_a out leaves A A^dag for every prior,
+    where A holds the relative-view amplitudes A[x_r, x_a].  The prior is
+    still validated.
+    """
+    _check_shift_prior(prior, state.d)
+    rel = to_relative_basis(state) if state.view == PRODUCT else state
+    amps = rel.amplitudes
+    return DensityMatrix(amps @ amps.conj().T, basis="lattice_rel")
 
 
 def sum_gate(state: QuditPairState) -> QuditPairState:

@@ -2,10 +2,15 @@
 unobservable overall phase, and the observables that cannot see the prior.
 
 A prior is either the exact ``UNIFORM`` marker or a discrete ``PriorGrid``
-of (angle, weight) points.  The uniform path dephases analytically (it
-zeroes every coherence between different total photon numbers); grid priors
-average rotated projectors.  Observables that commute with the total photon
-number give the same expectation under every prior.
+of (angle, weight) points.  On a state written over a charge label q (photon
+number n for one mode, total photon number N in the block basis) the twirl
+is a Schur product with the prior's characteristic function,
+
+    rho_ij = psi_i psi_j^* chi(q_i - q_j),   chi(m) = sum_g w_g e^{-i phi_g m},
+
+and ``UNIFORM`` is chi(m) = delta(m), which zeroes every coherence between
+different charges exactly.  Observables that commute with the charge give
+the same expectation under every prior.
 """
 
 import csv
@@ -41,7 +46,7 @@ GRID_RESOLUTION = 256
 
 
 class UniformPrior:
-    """Marker selecting the exact analytic dephasing path."""
+    """Marker for the uniform prior: characteristic function delta(m)."""
 
     def __repr__(self):
         return "UniformPrior()"
@@ -65,6 +70,8 @@ class PriorGrid:
         object.__setattr__(self, "weights", weights)
         if angles.ndim != 1 or angles.shape != weights.shape or angles.size == 0:
             raise ValueError("prior needs matching nonempty angle and weight sequences")
+        if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(weights))):
+            raise ValueError("prior angles and weights must be finite")
         if np.any(weights < 0):
             raise ValueError("prior weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -75,22 +82,32 @@ class PriorGrid:
             raise ValueError("prior angles must be strictly increasing")
 
 
+def _wrap(phi: float) -> float:
+    """phi mod 2pi in [0, 2pi); a tiny negative phi's remainder rounds to 2pi."""
+    wrapped = phi % TWO_PI
+    return 0.0 if wrapped == TWO_PI else wrapped
+
+
 def point_prior(phi: float) -> PriorGrid:
     """All weight on a single angle."""
-    return PriorGrid(angles=np.array([phi % TWO_PI]), weights=np.array([1.0]))
+    return PriorGrid(angles=np.array([_wrap(phi)]), weights=np.array([1.0]))
 
 
 def two_point_prior(phi1: float, phi2: float) -> PriorGrid:
     """Equal weight on two distinct angles."""
-    angles = np.sort(np.array([phi1 % TWO_PI, phi2 % TWO_PI]))
+    angles = np.sort(np.array([_wrap(phi1), _wrap(phi2)]))
     return PriorGrid(angles=angles, weights=np.array([0.5, 0.5]))
 
 
 def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION, center: float = 0.0) -> PriorGrid:
     """Concentrated prior with weights proportional to exp(kappa cos(phi - center))
-    on n_points equally spaced angles."""
+    on n_points equally spaced angles.  The exponent is shifted by its
+    maximum, so no finite kappa can overflow or underflow every weight."""
+    if not np.isfinite(kappa):
+        raise ValueError(f"von Mises kappa must be finite, got {kappa!r}")
     angles = TWO_PI * np.arange(n_points) / n_points
-    weights = np.exp(kappa * np.cos(angles - center))
+    exponent = kappa * np.cos(angles - center)
+    weights = np.exp(exponent - exponent.max())
     return PriorGrid(angles=angles, weights=weights / weights.sum())
 
 
@@ -131,59 +148,35 @@ def parse_prior(spec: str):
     raise ValueError(f"unknown prior spec {spec!r}")
 
 
-def _check_normalized(psi: np.ndarray):
+def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
+    """psi psi^dag (Schur) chi(q_i - q_j) for nonnegative charge labels q,
+    with chi(m) = sum_g w_g e^{-i phi_g m} tabulated once for |m| <= max q."""
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("input state must be normalized to 1e-10")
+    span = labels.max()
+    m = np.arange(-span, span + 1)
+    if isinstance(prior, UniformPrior):
+        chi = (m == 0).astype(complex)
+    else:
+        chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
+    return np.outer(psi, psi.conj()) * chi[labels[:, None] - labels[None, :] + span]
 
 
 def twirl_single_mode(psi: np.ndarray, prior) -> DensityMatrix:
     """Average U(phi)|psi><psi|U(phi)^dag over the prior, where
-    U(phi)|n> = e^{-i phi n}|n>.
-
-    The uniform marker takes the exact path rho_{nn'} = psi_n psi_{n'}^*
-    delta_{nn'}; a grid prior sums weighted rotated projectors.
-    """
+    U(phi)|n> = e^{-i phi n}|n>: the charge label is the photon number n."""
     psi = np.asarray(psi, dtype=complex)
-    _check_normalized(psi)
-    if isinstance(prior, UniformPrior):
-        return DensityMatrix(np.diag(np.abs(psi) ** 2).astype(complex), basis="fock")
-    n = np.arange(psi.size)
-    rho = np.zeros((psi.size, psi.size), dtype=complex)
-    for phi, weight in zip(prior.angles, prior.weights):
-        rotated = np.exp(-1j * phi * n) * psi
-        rho += weight * np.outer(rotated, rotated.conj())
-    return DensityMatrix(rho, basis="fock")
-
-
-def _total_number_labels(n_top: int) -> np.ndarray:
-    return np.concatenate([np.full(big_n + 1, big_n) for big_n in range(n_top + 1)])
+    return DensityMatrix(_twirl(psi, np.arange(psi.size), prior), basis="fock")
 
 
 def twirl_two_mode(state: np.ndarray, prior) -> DensityMatrix:
     """Two-mode twirl in the block basis: the phase multiplies both modes,
-    acting as e^{-i phi N} on each total-photon-number block.
-
-    The uniform marker zeroes all N != N' coherences exactly; within-block
-    structure is untouched by any prior.
-    """
+    acting as e^{-i phi N} on each total-photon-number block, so the charge
+    label is N.  Within-block structure is untouched by any prior."""
     blocks = to_blocks(state)
-    psi = blocks.flatten()
-    _check_normalized(psi)
     n_top = blocks.n_max
-    dim = block_dim(n_top)
-    rho = np.zeros((dim, dim), dtype=complex)
-    if isinstance(prior, UniformPrior):
-        for big_n in range(n_top + 1):
-            lo = block_offset(big_n)
-            hi = lo + big_n + 1
-            component = psi[lo:hi]
-            rho[lo:hi, lo:hi] = np.outer(component, component.conj())
-        return DensityMatrix(rho, basis="block")
-    labels = _total_number_labels(n_top)
-    for phi, weight in zip(prior.angles, prior.weights):
-        rotated = np.exp(-1j * phi * labels) * psi
-        rho += weight * np.outer(rotated, rotated.conj())
-    return DensityMatrix(rho, basis="block")
+    labels = np.repeat(np.arange(n_top + 1), np.arange(1, n_top + 2))
+    return DensityMatrix(_twirl(blocks.flatten(), labels, prior), basis="block")
 
 
 @dataclass(frozen=True)

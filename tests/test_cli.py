@@ -126,6 +126,38 @@ class TestTwirlDemo:
         assert result.returncode == 2
         assert "prior" in result.stderr
 
+    def test_negative_observable_count_is_config_error(self):
+        result = run_cli("twirl-demo", "--n-observables", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.strip() == "relphase: --n-observables must be >= 0, got -1"
+
+    def test_large_kappa_rows_finite(self):
+        result = run_cli("twirl-demo", "--prior", "vonmises:1e4")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        _, _, rows = parse_csv(result.stdout)
+        assert all(np.isfinite(float(row["expectation"])) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("twirl-demo", "--prior", "point:inf"),
+        ("twirl-demo", "--prior", "vonmises:nan"),
+        ("way-demo", "--prior", "point:inf"),
+        ("way-demo", "--prior", "twopoint:0,nan"),
+        ("way-demo", "--prior", "vonmises:inf"),
+    ],
+    ids=["twirl-point", "twirl-vonmises", "way-point", "way-twopoint", "way-vonmises"],
+)
+def test_non_finite_prior_is_config_error(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "finite" in result.stderr
+
 
 class TestWayDemo:
     def test_scenario_table(self):
@@ -143,6 +175,18 @@ class TestWayDemo:
         ]
         assert len(max_uniform) == 1
         assert float(max_uniform[0]["relative_purity"]) == pytest.approx(0.2, abs=1e-10)
+
+    def test_rows_identical_across_priors(self):
+        result = run_cli("way-demo", "--dim-list", "3,5,7", "--seed", "3")
+        assert result.returncode == 0
+        _, _, rows = parse_csv(result.stdout)
+        by_case = {}
+        for row in rows:
+            values = (row["relative_purity"], row["relative_fidelity_to_input"])
+            by_case.setdefault((row["d"], row["scenario"]), set()).add(values)
+        assert len(by_case) == 9
+        for case, values in by_case.items():
+            assert len(values) == 1, (case, values)
 
     def test_even_dimension_is_config_error(self):
         result = run_cli("way-demo", "--dim-list", "4")

@@ -14,6 +14,7 @@ from relphase import (
     sum_gate,
     to_relative_basis,
     twirl_displacement,
+    twirled_relative,
 )
 
 from conftest import random_state_vector
@@ -240,6 +241,34 @@ class TestReducedRelative:
 
         with pytest.raises(ValueError, match="lattice_pair"):
             reduced_relative(DensityMatrix(np.eye(25, dtype=complex) / 25, basis="fock"))
+
+
+class TestTwirledRelative:
+    def test_matches_dense_twirl_then_trace(self):
+        rng = np.random.default_rng(38)
+        for d in (3, 5, 7, 11, 31):
+            priors = shift_prior_family(rng, d)
+            for view in ("product", "relative"):
+                state = random_pair(rng, d, view=view)
+                for prior in priors:
+                    dense = reduced_relative(twirl_displacement(state, prior))
+                    direct = twirled_relative(state, prior)
+                    assert direct.basis == "lattice_rel"
+                    assert np.max(np.abs(direct.matrix - dense.matrix)) <= 1e-13
+
+    def test_bad_priors_rejected(self):
+        rng = np.random.default_rng(39)
+        state = random_pair(rng, 5)
+        with pytest.raises(ValueError, match="5 weights"):
+            twirled_relative(state, np.full(3, 1.0 / 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            twirled_relative(state, np.array([1.5, -0.5, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            twirled_relative(state, np.full(5, 0.3))
+        with pytest.raises(ValueError, match="finite"):
+            twirled_relative(state, np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            twirl_displacement(state, np.array([np.inf, 0.0, 0.0, 0.0, 0.0]))
 
 
 class TestSumGate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import (
     UNIFORM,
@@ -25,6 +27,22 @@ from relphase import (
 from relphase.blocks import block_offset
 
 from conftest import random_state_vector
+
+
+def loop_twirl(psi, labels, prior):
+    """Reference twirl: one rotated outer product per prior angle, and the
+    uniform prior as exact dephasing between different charge labels."""
+    if isinstance(prior, UniformPrior):
+        return np.outer(psi, psi.conj()) * (labels[:, None] == labels[None, :])
+    rho = np.zeros((psi.size, psi.size), dtype=complex)
+    for phi, weight in zip(prior.angles, prior.weights):
+        rotated = np.exp(-1j * phi * labels) * psi
+        rho += weight * np.outer(rotated, rotated.conj())
+    return rho
+
+
+def total_number_labels(n_top):
+    return np.concatenate([np.full(big_n + 1, big_n) for big_n in range(n_top + 1)])
 
 
 def random_grid_prior(rng, n_points=32):
@@ -54,8 +72,41 @@ class TestPriorGrid:
         with pytest.raises(ValueError, match="2pi"):
             PriorGrid(angles=np.array([0.0, 7.0]), weights=np.array([0.5, 0.5]))
 
+    def test_non_finite_rejected(self):
+        for angles, weights in (
+            ([0.0, np.nan], [0.5, 0.5]),
+            ([0.0, np.inf], [0.5, 0.5]),
+            ([0.0, 1.0], [np.nan, 0.5]),
+            ([0.0, 1.0], [np.inf, -np.inf]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                PriorGrid(angles=np.array(angles), weights=np.array(weights))
+        with pytest.raises(ValueError, match="finite"):
+            point_prior(np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            parse_prior("twopoint:0,nan")
+        with pytest.raises(ValueError, match="finite"):
+            von_mises_prior(np.inf)
+
+    def test_von_mises_large_kappa_finite(self):
+        vm = von_mises_prior(1e4)
+        assert np.all(np.isfinite(vm.weights))
+        assert vm.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.argmax(vm.weights) == 0
+        flipped = von_mises_prior(-1e4)
+        assert np.all(np.isfinite(flipped.weights))
+        assert np.argmax(flipped.weights) == 128
+
+    def test_von_mises_matches_unshifted_weights(self):
+        angles = 2 * np.pi * np.arange(256) / 256
+        old = np.exp(4.0 * np.cos(angles))
+        old /= old.sum()
+        assert np.max(np.abs(von_mises_prior(4.0).weights - old)) <= 1e-15
+
     def test_named_families(self):
         assert point_prior(9.0).angles[0] == pytest.approx(9.0 % (2 * np.pi))
+        assert point_prior(-1e-17).angles[0] == 0.0
+        assert two_point_prior(-1e-17, 1.0).angles.tolist() == [0.0, 1.0]
         two = two_point_prior(3.0, 1.0)
         assert np.all(np.diff(two.angles) > 0)
         vm = von_mises_prior(4.0)
@@ -283,3 +334,78 @@ class TestChannelProperties:
         coarse = expectation(witness, twirl_single_mode(psi, von_mises_prior(4.0, 256)))
         fine = expectation(witness, twirl_single_mode(psi, von_mises_prior(4.0, 512)))
         assert abs(coarse - fine) < 1e-9
+
+
+# Random states and priors for the kernel-vs-loop properties.
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+angles_st = st.floats(0.0, 2 * np.pi, allow_nan=False, exclude_max=True)
+
+
+def unit_vectors(size):
+    """Normalized complex vectors of one size; a near-zero draw becomes |0>."""
+
+    def normalize(pairs):
+        vec = np.array([complex(re, im) for re, im in pairs])
+        norm = np.linalg.norm(vec)
+        return vec / norm if norm > 1e-3 else np.eye(size, dtype=complex)[0]
+
+    return st.lists(st.tuples(unit_floats, unit_floats), min_size=size, max_size=size).map(
+        normalize
+    )
+
+
+single_mode_states = st.integers(1, 24).flatmap(unit_vectors)
+two_mode_states = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda shape: unit_vectors(shape[0] * shape[1]).map(lambda vec: vec.reshape(shape))
+)
+
+
+@st.composite
+def grid_priors(draw):
+    n_points = draw(st.integers(1, 64))
+    angles = draw(st.lists(angles_st, min_size=n_points, max_size=n_points, unique=True))
+    weights = np.array(
+        draw(st.lists(st.floats(0.01, 1.0), min_size=n_points, max_size=n_points))
+    )
+    return PriorGrid(angles=np.sort(angles), weights=weights / weights.sum())
+
+
+priors_st = st.one_of(
+    st.just(UNIFORM),
+    st.floats(-20.0, 20.0, allow_nan=False).map(point_prior),
+    st.tuples(angles_st, angles_st)
+    .filter(lambda pair: pair[0] != pair[1])
+    .map(lambda pair: two_point_prior(*pair)),
+    st.floats(0.0, 50.0).map(von_mises_prior),
+    grid_priors(),
+)
+
+
+def assert_channel_properties(rho, reference, observable, pure):
+    assert np.max(np.abs(rho.matrix - reference)) <= 1e-13
+    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
+    assert abs(expectation(observable, rho) - expectation(observable, pure)) <= 1e-10
+
+
+class TestKernelMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(psi=single_mode_states, prior=priors_st, seed=st.integers(0, 2**16))
+    def test_single_mode(self, psi, prior, seed):
+        rho = twirl_single_mode(psi, prior)
+        reference = loop_twirl(psi, np.arange(psi.size), prior)
+        observable = random_commutant_observable(psi.size - 1, seed)
+        pure = DensityMatrix(np.outer(psi, psi.conj()), basis="fock")
+        assert_channel_properties(rho, reference, observable, pure)
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=two_mode_states, prior=priors_st, seed=st.integers(0, 2**16))
+    def test_two_mode(self, state, prior, seed):
+        rho = twirl_two_mode(state, prior)
+        blocks = to_blocks(state)
+        psi = blocks.flatten()
+        reference = loop_twirl(psi, total_number_labels(blocks.n_max), prior)
+        observable = random_commutant_observable(blocks.n_max, seed, basis="block")
+        pure = DensityMatrix(np.outer(psi, psi.conj()), basis="block")
+        assert_channel_properties(rho, reference, observable, pure)

@@ -30,6 +30,7 @@ from .factorize import (
 )
 from .fock import (
     DensityMatrix,
+    SizeLimitError,
     coherent_vector,
     fidelity_pure_mixed,
     hs_distance,

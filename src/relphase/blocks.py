@@ -12,28 +12,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_vector
+from .fock import SizeLimitError, coherent_vector
 
 __all__ = [
     "BlockState",
+    "MAX_GRID_ENTRIES",
     "block_dim",
     "block_offset",
+    "check_grid_size",
     "default_cutoff",
     "from_blocks",
     "mean_photon_number",
     "to_blocks",
+    "total_number",
     "two_mode_coherent",
 ]
+
+# Largest (n1, n2) grid, in entries, that the grid builders will allocate:
+# 2**23 complex entries are 134 MB, and a factorization report holds a few
+# grid-sized arrays at once.  At |alpha| = 1 this is reached near |beta| = 600.
+MAX_GRID_ENTRIES = 2**23
 
 
 def default_cutoff(mag: float) -> int:
     """Photon-number truncation with a 10-standard-deviation Poisson guard.
 
     ceil(|a|^2 + 10|a| + 10) keeps the lost tail mass far below 1e-10 at
-    desk scale.
+    desk scale.  A non-finite magnitude raises ValueError; one whose cutoff
+    overflows a float raises SizeLimitError.
     """
-    mag = abs(mag)
-    return math.ceil(mag * mag + 10.0 * mag + 10.0)
+    mag = float(abs(mag))
+    if not math.isfinite(mag):
+        raise ValueError(f"magnitude must be finite, got {mag!r}")
+    cutoff = mag * mag + 10.0 * mag + 10.0
+    if not math.isfinite(cutoff):
+        raise SizeLimitError(f"the cutoff for magnitude {mag!r} overflows a float")
+    return math.ceil(cutoff)
+
+
+def check_grid_size(n1_max: int, n2_max: int):
+    """Raise SizeLimitError if an (n1_max+1) x (n2_max+1) grid exceeds
+    MAX_GRID_ENTRIES, before anything of that size is allocated."""
+    entries = (n1_max + 1) * (n2_max + 1)
+    if entries > MAX_GRID_ENTRIES:
+        raise SizeLimitError(
+            f"cutoffs ({n1_max}, {n2_max}) need a grid of {entries} entries, "
+            f"above the limit of {MAX_GRID_ENTRIES}"
+        )
 
 
 def mean_photon_number(alpha: complex, beta: complex) -> float:
@@ -46,7 +71,16 @@ def two_mode_coherent(alpha: complex, beta: complex, n1_max: int, n2_max: int) -
 
     amplitude(n1, n2) = e^{-(|alpha|^2+|beta|^2)/2} alpha^n1 beta^n2 / sqrt(n1! n2!).
     """
+    check_grid_size(n1_max, n2_max)
     return np.outer(coherent_vector(alpha, n1_max), coherent_vector(beta, n2_max))
+
+
+def total_number(shape) -> np.ndarray:
+    """Charge label N = n1 + n2 of every entry of an (n1, n2) grid of the
+    given shape: the total photon number that sorts entries into blocks."""
+    if len(shape) != 2:
+        raise ValueError(f"expected a 2-D amplitude grid, got shape {shape}")
+    return np.add.outer(np.arange(shape[0]), np.arange(shape[1]))
 
 
 def block_offset(big_n: int) -> int:

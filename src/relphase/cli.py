@@ -4,7 +4,8 @@ contraction-convergence study, the phase-twirl demo and the lattice demo.
 Every run echoes its fully resolved configuration (defaults included) as a
 ``# config`` comment line (CSV) or a ``config`` object (JSON); identical
 configurations produce byte-identical output.  Exit codes: 0 success,
-2 configuration error, 3 numerical-precondition failure.
+2 configuration error, 3 numerical-precondition failure or a size above a
+module limit, refused before allocation.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import numpy as np
 
 from .blocks import default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
-from .fock import coherent_vector, fidelity_pure_mixed, purity
+from .fock import SizeLimitError, coherent_vector, fidelity_pure_mixed, purity
 from .lattice import QuditPairState, relative_pair, sum_gate, twirled_relative
 from .spin import contraction_overlap
 from .twirl import (
@@ -78,11 +79,26 @@ def _int_list(text: str) -> list:
         raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
 
 
+def _finite(flag: str, value: float) -> float:
+    if not np.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
+def _magnitude(flag: str, value: float) -> float:
+    if _finite(flag, value) < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value!r}")
+    return value
+
+
+def _complex(flag: str, mag: float, phase: float) -> complex:
+    return _magnitude(flag, mag) * np.exp(1j * _finite(flag + "-phase", phase))
+
+
 def cmd_factorize_sweep(args) -> int:
-    alpha = args.alpha * np.exp(1j * args.alpha_phase)
-    beta_mags = _float_list(args.beta_list)
-    if any(mag < 0 for mag in beta_mags):
-        raise ValueError("beta magnitudes must be nonnegative")
+    alpha = _complex("--alpha", args.alpha, args.alpha_phase)
+    beta_mags = [_magnitude("--beta-list entry", mag) for mag in _float_list(args.beta_list)]
+    _finite("--beta-phase", args.beta_phase)
     config = {
         "command": "factorize-sweep",
         "alpha": args.alpha,
@@ -133,7 +149,7 @@ def cmd_contract_overlap(args) -> int:
     n_grid = _int_list(args.n_grid)
     if any(n < 1 for n in n_grid):
         raise ValueError("N grid entries must be >= 1")
-    z = args.z * np.exp(1j * args.z_phase)
+    z = _complex("--z", args.z, args.z_phase)
     config = {
         "command": "contract-overlap",
         "z": args.z,
@@ -159,7 +175,7 @@ def cmd_contract_overlap(args) -> int:
 def cmd_twirl_demo(args) -> int:
     if args.n_observables < 0:
         raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
-    alpha = args.alpha * np.exp(1j * args.alpha_phase)
+    alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
     prior_specs = args.prior if args.prior else list(DEFAULT_TWIRL_PRIORS)
     priors = [(spec, parse_prior(spec)) for spec in prior_specs]
@@ -354,6 +370,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InsufficientCutoffError as exc:
         print(f"relphase: numerical precondition failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except SizeLimitError as exc:
+        print(f"relphase: size limit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"relphase: {exc}", file=sys.stderr)

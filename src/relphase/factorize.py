@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .blocks import default_cutoff, mean_photon_number, to_blocks, two_mode_coherent
-from .spin import embed_wh
+from .blocks import check_grid_size, default_cutoff, mean_photon_number, total_number, two_mode_coherent
+from .fock import coherent_vector
 
 __all__ = [
     "FactorizationReport",
@@ -56,9 +55,35 @@ class FactorizationReport:
 def relative_target(alpha: complex, beta: complex) -> complex:
     """WH amplitude z = |alpha| e^{i phi_r} carried by every block of the
     product construction (phi_r = arg(alpha) - arg(beta))."""
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError(f"mode amplitudes must be finite, got alpha={alpha}, beta={beta}")
     if beta == 0:
         raise ValueError("relative phase is undefined for beta = 0")
     return complex(alpha * np.conj(beta) / abs(beta))
+
+
+def _sector_sums(big_n: np.ndarray, values: np.ndarray, n_sectors: int) -> np.ndarray:
+    """Sum of ``values`` over the entries of each total-photon-number sector:
+    one reduction over the charge label N instead of a block-by-block loop."""
+    labels = big_n.ravel()
+    values = values.ravel()
+    if np.iscomplexobj(values):
+        return np.bincount(labels, values.real, n_sectors) + 1j * np.bincount(
+            labels, values.imag, n_sectors
+        )
+    return np.bincount(labels, values, n_sectors)
+
+
+def _wh_profile(z: complex, n_top: int):
+    """WH amplitudes w_k of amplitude z for k = 0..n_top and the factors
+    W_N^{-1/2}, W_N = sum_{k <= N} |w_k|^2, that renormalize them over block N.
+    Where W_N underflows to 0 (|z| above about 27, lowest N) the factor is 0:
+    a block whose Poisson weight has mean >= |z|^2 holds less than W_N there.
+    """
+    wh = coherent_vector(z, n_top)
+    w_cum = np.cumsum(np.abs(wh) ** 2)
+    inv_norm = np.divide(1.0, np.sqrt(w_cum), out=np.zeros_like(w_cum), where=w_cum > 0)
+    return wh, inv_norm
 
 
 def _product_grid(nhat: float, collective_phase: complex, z: complex, n1_max: int, n2_max: int):
@@ -66,39 +91,16 @@ def _product_grid(nhat: float, collective_phase: complex, z: complex, n1_max: in
 
     Block N carries the Poissonian amplitude
     p_N = e^{-nhat/2} (sqrt(nhat) * collective_phase)^N / sqrt(N!) times the
-    WH profile of amplitude z renormalized over k = 0..N; entries are laid
-    on the grid wherever (n1=k, n2=N-k) fits.
+    WH profile of amplitude z renormalized over k = 0..N; entry (n1, n2) of
+    the grid is p_N w_{n1} / sqrt(W_N) with N = n1 + n2.
     """
+    check_grid_size(n1_max, n2_max)
     n_top = n1_max + n2_max
-    big_n = np.arange(n_top + 1)
-    if nhat == 0:
-        log_p = np.full(n_top + 1, -np.inf)
-        log_p[0] = 0.0
-    else:
-        log_p = -0.5 * nhat + 0.5 * big_n * np.log(nhat) - 0.5 * gammaln(big_n + 1.0)
-    poisson = np.exp(log_p + 1j * np.angle(collective_phase) * big_n)
-
-    k = np.arange(n_top + 1)
-    if z == 0:
-        w2 = np.zeros(n_top + 1)
-        w2[0] = 1.0
-        wh = w2.astype(complex)
-    else:
-        zmag = abs(z)
-        log_w2 = -zmag * zmag + 2.0 * k * np.log(zmag) - gammaln(k + 1.0)
-        w2 = np.exp(log_w2)
-        wh = np.exp(0.5 * log_w2 + 1j * np.angle(z) * k)
-    w2_cum = np.cumsum(w2)
-
-    grid = np.zeros((n1_max + 1, n2_max + 1), dtype=complex)
-    mass = 0.0
-    for n_tot in range(n_top + 1):
-        k_lo = max(0, n_tot - n2_max)
-        k_hi = min(n_tot, n1_max)
-        ks = np.arange(k_lo, k_hi + 1)
-        grid[ks, n_tot - ks] = poisson[n_tot] * wh[k_lo : k_hi + 1] / np.sqrt(w2_cum[n_tot])
-        mass += abs(poisson[n_tot]) ** 2 * w2[k_lo : k_hi + 1].sum() / w2_cum[n_tot]
-    return grid, mass
+    poisson = coherent_vector(math.sqrt(nhat) * collective_phase, n_top)
+    wh, inv_norm = _wh_profile(z, n_top)
+    big_n = total_number((n1_max + 1, n2_max + 1))
+    grid = (poisson * inv_norm)[big_n] * wh[: n1_max + 1, None]
+    return grid, float(np.vdot(grid, grid).real)
 
 
 def approx_product(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> np.ndarray:
@@ -141,54 +143,56 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     normalized two-mode pure states.
 
     The uniform twirl block-diagonalizes both, so the squared distance
-    splits into rank-one pieces per total photon number.  Each piece is
-    evaluated in the 2-D span of the two block vectors via the orthogonal
-    residual r = v_b - <v_a, v_b> v_a, which keeps nearly identical blocks
-    from cancelling catastrophically:
+    splits into rank-one pieces per total photon number N.  Each piece is
+    evaluated in the 2-D span of the unit block vectors v, w via the
+    orthogonal residual r = w - g v, g = <v, w>, which keeps nearly
+    identical blocks from cancelling catastrophically:
     ||p_a v v^dag - p_b w w^dag||^2 = (p_a - p_b |g|^2)^2
-                                      + 2 p_b^2 |g|^2 ||r||^2 + p_b^2 ||r||^4
-    with g = <v, w>.
+                                      + 2 p_b^2 |g|^2 ||r||^2 + p_b^2 ||r||^4.
+    An empty block has v = 0, so g = 0 and ||r||^2 = ||w||^2.
     """
     state_a = np.asarray(state_a, dtype=complex)
     state_b = np.asarray(state_b, dtype=complex)
     if state_a.shape != state_b.shape:
         raise ValueError(f"grid shape mismatch: {state_a.shape} vs {state_b.shape}")
-    blocks_a = to_blocks(state_a)
-    blocks_b = to_blocks(state_b)
-    hs2 = 0.0
-    for weight_a, vec_a, weight_b, vec_b in zip(
-        blocks_a.weights, blocks_a.vectors, blocks_b.weights, blocks_b.vectors
-    ):
-        pa = abs(weight_a) ** 2
-        pb = abs(weight_b) ** 2
-        gram = np.vdot(vec_a, vec_b)
-        residual2 = float(np.sum(np.abs(vec_b - gram * vec_a) ** 2))
-        overlap2 = abs(gram) ** 2
-        hs2 += (
-            (pa - pb * overlap2) ** 2
-            + 2.0 * pb * pb * overlap2 * residual2
-            + pb * pb * residual2 * residual2
-        )
-    return math.sqrt(max(hs2, 0.0))
+    big_n = total_number(state_a.shape)
+    n_sectors = sum(state_a.shape) - 1
+
+    def masses_and_units(state):
+        mass = _sector_sums(big_n, np.abs(state) ** 2, n_sectors)
+        norm = np.sqrt(mass)[big_n]
+        return mass, np.divide(state, norm, out=np.zeros_like(state), where=norm > 0)
+
+    pa, unit_a = masses_and_units(state_a)
+    pb, unit_b = masses_and_units(state_b)
+    gram = _sector_sums(big_n, unit_a.conj() * unit_b, n_sectors)
+    residual2 = _sector_sums(big_n, np.abs(unit_b - gram[big_n] * unit_a) ** 2, n_sectors)
+    overlap2 = np.abs(gram) ** 2
+    hs2 = np.sum(
+        (pa - pb * overlap2) ** 2
+        + 2.0 * pb * pb * overlap2 * residual2
+        + pb * pb * residual2 * residual2
+    )
+    return math.sqrt(max(float(hs2), 0.0))
 
 
 def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     """Poisson-weighted mean over populated blocks of
     |<v_N | embed_wh(z, N)>|^2: how uniformly the difference profiles match
-    one fixed WH coherent state."""
-    blocks = to_blocks(state)
-    numerator = 0.0
-    denominator = 0.0
-    for big_n, (weight, vec) in enumerate(zip(blocks.weights, blocks.vectors)):
-        mass = abs(weight) ** 2
-        if mass == 0.0:
-            continue
-        overlap = abs(np.vdot(vec, embed_wh(z, big_n))) ** 2
-        numerator += mass * overlap
-        denominator += mass
-    if denominator == 0.0:
+    one fixed WH coherent state.
+
+    With x the grid entries of block N and w_k the WH amplitudes, the
+    weighted term is |sum_k x_k^* w_k|^2 / W_N, W_N = sum_{k <= N} |w_k|^2.
+    """
+    state = np.asarray(state, dtype=complex)
+    big_n = total_number(state.shape)
+    mass = float(np.vdot(state, state).real)
+    if mass == 0.0:
         raise ValueError("state has no populated blocks")
-    return numerator / denominator
+    n_top = sum(state.shape) - 2
+    wh, inv_norm = _wh_profile(z, n_top)
+    cross = _sector_sums(big_n, state.conj() * wh[: state.shape[0], None], n_top + 1)
+    return float(np.sum(np.abs(cross * inv_norm) ** 2)) / mass
 
 
 def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> FactorizationReport:

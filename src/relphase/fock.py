@@ -12,6 +12,7 @@ from scipy.special import gammaln
 
 __all__ = [
     "DensityMatrix",
+    "SizeLimitError",
     "coherent_vector",
     "fidelity_pure_mixed",
     "hs_distance",
@@ -22,6 +23,10 @@ __all__ = [
 # Values outside [0, 1] by less than this are float noise and get clamped;
 # larger excursions indicate a bug upstream and raise.
 CLAMP_TOL = 1e-9
+
+
+class SizeLimitError(ValueError):
+    """Raised before allocating an array larger than a module's size limit."""
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,13 @@ def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
 
     Magnitudes are assembled as exp(log magnitude) with log-gamma
     factorials; the squared norm equals the Poisson CDF at n_max with mean
-    |alpha|^2, so truncation can only lose norm.
+    |alpha|^2, so truncation can only lose norm.  A non-finite alpha raises
+    ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     if alpha == 0:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0

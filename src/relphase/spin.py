@@ -15,15 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import coherent_vector
+from .fock import SizeLimitError, coherent_vector
 
 __all__ = [
+    "MAX_SPIN_N",
     "SpinParams",
     "contraction_overlap",
     "embed_wh",
     "params_from_modes",
     "spin_coherent",
 ]
+
+# Largest spin size contraction_overlap will evaluate: its two length-(N+1)
+# profiles and their log-gamma temporaries take about 1 GB at 2**24.
+MAX_SPIN_N = 2**24
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ def embed_wh(z: complex, big_n: int) -> np.ndarray:
     """Weyl-Heisenberg coherent amplitudes truncated to k <= N, renormalized.
 
     For N past |z|^2 + 10|z| + 10 the renormalization factor is 1 to well
-    under 1e-10 (Poisson tail).
+    under 1e-10 (Poisson tail).  A non-finite z raises ValueError.
     """
     amps = coherent_vector(z, big_n)
     return amps / np.linalg.norm(amps)
@@ -89,9 +94,12 @@ def contraction_overlap(z: complex, big_n: int) -> float:
 
     Approaches 1 as N grows at fixed z: the spin family contracts onto the
     WH coherent state when the stereographic parameter shrinks like
-    1/sqrt(N).
+    1/sqrt(N).  N above MAX_SPIN_N raises SizeLimitError before anything is
+    allocated.
     """
     if big_n < 1:
         raise ValueError(f"N must be >= 1, got {big_n}")
+    if big_n > MAX_SPIN_N:
+        raise SizeLimitError(f"N = {big_n} is above the limit of {MAX_SPIN_N}")
     overlap = np.vdot(embed_wh(z, big_n), spin_coherent(big_n, z / math.sqrt(big_n)))
     return min(float(abs(overlap) ** 2), 1.0)

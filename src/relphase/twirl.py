@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_dim, block_offset, to_blocks
+from .blocks import block_dim, block_offset, total_number
 from .fock import DensityMatrix
 
 __all__ = [
@@ -172,11 +172,15 @@ def twirl_single_mode(psi: np.ndarray, prior) -> DensityMatrix:
 def twirl_two_mode(state: np.ndarray, prior) -> DensityMatrix:
     """Two-mode twirl in the block basis: the phase multiplies both modes,
     acting as e^{-i phi N} on each total-photon-number block, so the charge
-    label is N.  Within-block structure is untouched by any prior."""
-    blocks = to_blocks(state)
-    n_top = blocks.n_max
+    label is N.  Within-block structure is untouched by any prior.  Grid
+    entry (n1, n2) lands at flat block index block_offset(N) + n1."""
+    state = np.asarray(state, dtype=complex)
+    big_n = total_number(state.shape)
+    n_top = sum(state.shape) - 2
+    psi = np.zeros(block_dim(n_top), dtype=complex)
+    psi[block_offset(big_n) + np.arange(state.shape[0])[:, None]] = state
     labels = np.repeat(np.arange(n_top + 1), np.arange(1, n_top + 2))
-    return DensityMatrix(_twirl(blocks.flatten(), labels, prior), basis="block")
+    return DensityMatrix(_twirl(psi, labels, prior), basis="block")
 
 
 @dataclass(frozen=True)

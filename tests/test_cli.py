@@ -79,6 +79,15 @@ class TestFactorizeSweep:
         assert rows[0]["n1_max"] == "30"
         assert rows[0]["n2_max"] == "50"
 
+    def test_underflowing_profile_exits_3_not_nan(self):
+        # |alpha| = 28 underflows the lowest WH weights; the product state
+        # then loses mass past n2_max = 21 and the row is refused
+        result = run_cli("factorize-sweep", "--alpha", "28", "--beta-list", "1")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "precondition" in result.stderr
+
     def test_starved_cutoffs_exit_3(self):
         result = run_cli(
             "factorize-sweep", "--alpha", "1", "--beta-list", "4", "--n1-max", "2", "--n2-max", "5"
@@ -157,6 +166,55 @@ def test_non_finite_prior_is_config_error(args):
     assert result.stdout == ""
     assert len(result.stderr.strip().splitlines()) == 1
     assert "finite" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("factorize-sweep", "--alpha", "1", "--beta-list", "inf"),
+        ("factorize-sweep", "--alpha", "inf", "--beta-list", "2"),
+        ("factorize-sweep", "--alpha", "-1", "--beta-list", "2"),
+        ("factorize-sweep", "--alpha", "1", "--beta-list", "2", "--beta-phase", "nan"),
+        ("contract-overlap", "--z", "nan"),
+        ("contract-overlap", "--z", "inf"),
+        ("contract-overlap", "--z", "-1"),
+        ("twirl-demo", "--alpha", "-1"),
+    ],
+    ids=[
+        "beta-inf",
+        "alpha-inf",
+        "alpha-negative",
+        "beta-phase-nan",
+        "z-nan",
+        "z-inf",
+        "z-negative",
+        "twirl-alpha-negative",
+    ],
+)
+def test_bad_magnitude_is_config_error(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "finite" in result.stderr or "nonnegative" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # 22 x 390611 grid entries, just above the 2**23 limit
+        ("factorize-sweep", "--alpha", "1", "--beta-list", "620"),
+        ("factorize-sweep", "--alpha", "1", "--beta-list", "1e200"),
+        ("contract-overlap", "--z", "1", "--n-grid", "25,16777217"),
+    ],
+    ids=["grid", "cutoff-overflow", "spin-size"],
+)
+def test_oversize_request_refused_with_exit_3(args):
+    result = run_cli(*args)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "size limit" in result.stderr
 
 
 class TestWayDemo:

@@ -1,14 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import (
     UNIFORM,
     InsufficientCutoffError,
+    SizeLimitError,
     approx_product,
     approx_product_balanced,
     coherent_vector,
+    default_cutoff,
     embed_wh,
     factorization_fidelity,
     relative_state_overlap,
@@ -19,6 +27,152 @@ from relphase import (
     twirled_hs_distance,
     two_mode_coherent,
 )
+from relphase.blocks import MAX_GRID_ENTRIES
+from relphase.factorize import _product_grid
+
+from conftest import FIXTURES
+
+
+def loop_product_grid(nhat, collective_phase, z, n1_max, n2_max):
+    """Reference product grid: one block N at a time, Poisson and WH
+    amplitudes from their log-factorial formulas."""
+    n_top = n1_max + n2_max
+    big_n = np.arange(n_top + 1)
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(n_top + 1)])
+    if nhat == 0:
+        log_p = np.full(n_top + 1, -np.inf)
+        log_p[0] = 0.0
+    else:
+        log_p = -0.5 * nhat + 0.5 * big_n * np.log(nhat) - 0.5 * log_fact
+    poisson = np.exp(log_p + 1j * np.angle(collective_phase) * big_n)
+    if z == 0:
+        w2 = np.zeros(n_top + 1)
+        w2[0] = 1.0
+        wh = w2.astype(complex)
+    else:
+        log_w2 = -abs(z) ** 2 + 2.0 * big_n * np.log(abs(z)) - log_fact
+        w2 = np.exp(log_w2)
+        wh = np.exp(0.5 * log_w2 + 1j * np.angle(z) * big_n)
+    w2_cum = np.cumsum(w2)
+    grid = np.zeros((n1_max + 1, n2_max + 1), dtype=complex)
+    mass = 0.0
+    for n_tot in range(n_top + 1):
+        k_lo = max(0, n_tot - n2_max)
+        k_hi = min(n_tot, n1_max)
+        ks = np.arange(k_lo, k_hi + 1)
+        grid[ks, n_tot - ks] = poisson[n_tot] * wh[k_lo : k_hi + 1] / np.sqrt(w2_cum[n_tot])
+        mass += abs(poisson[n_tot]) ** 2 * w2[k_lo : k_hi + 1].sum() / w2_cum[n_tot]
+    return grid, mass
+
+
+def loop_twirled_hs_distance(state_a, state_b):
+    """Reference HS distance: the same residual formula, one BlockState block
+    at a time."""
+    blocks_a = to_blocks(state_a)
+    blocks_b = to_blocks(state_b)
+    hs2 = 0.0
+    for weight_a, vec_a, weight_b, vec_b in zip(
+        blocks_a.weights, blocks_a.vectors, blocks_b.weights, blocks_b.vectors
+    ):
+        pa = abs(weight_a) ** 2
+        pb = abs(weight_b) ** 2
+        gram = np.vdot(vec_a, vec_b)
+        residual2 = float(np.sum(np.abs(vec_b - gram * vec_a) ** 2))
+        overlap2 = abs(gram) ** 2
+        hs2 += (
+            (pa - pb * overlap2) ** 2
+            + 2.0 * pb * pb * overlap2 * residual2
+            + pb * pb * residual2 * residual2
+        )
+    return math.sqrt(max(hs2, 0.0))
+
+
+def loop_relative_state_overlap(state, z):
+    """Reference overlap: embed_wh(z, N) rebuilt for every populated block."""
+    blocks = to_blocks(state)
+    numerator = 0.0
+    denominator = 0.0
+    for big_n, (weight, vec) in enumerate(zip(blocks.weights, blocks.vectors)):
+        mass = abs(weight) ** 2
+        if mass == 0.0:
+            continue
+        numerator += mass * abs(np.vdot(vec, embed_wh(z, big_n))) ** 2
+        denominator += mass
+    return numerator / denominator
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two normalized complex grids of one shape, 1x1 up to 8x60: independent,
+    nearly identical or sharing their sector masses, with sector masses
+    spread over up to 20 decades (like Poisson tails) and some total-number
+    sectors emptied in one or both."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big_n = np.add.outer(np.arange(shape[0]), np.arange(shape[1]))
+
+    def complex_grid():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    state_a = complex_grid()
+    kind = draw(st.sampled_from(["independent", "near", "phase"]))
+    if kind == "independent":
+        state_b = complex_grid()
+    elif kind == "near":
+        state_b = state_a + 10.0 ** -draw(st.integers(3, 13)) * complex_grid()
+    else:
+        state_b = state_a * np.exp(1j * rng.uniform(0, 2 * np.pi, big_n.max() + 1))[big_n]
+    n_sectors = sum(shape) - 1
+    if draw(st.booleans()):
+        decades = rng.uniform(0.0, 20.0, n_sectors)[big_n]
+        state_a *= 10.0**-decades
+        state_b *= 10.0**-decades
+    sectors = st.lists(st.integers(0, n_sectors - 1), max_size=n_sectors)
+    for state in (state_a, state_b):
+        state[np.isin(big_n, draw(sectors))] = 0.0
+        if not state.any():
+            state[0, 0] = 1.0
+        state /= np.linalg.norm(state)
+    return state_a, state_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=grid_pairs())
+def test_twirled_hs_distance_matches_block_loop(pair):
+    state_a, state_b = pair
+    want = loop_twirled_hs_distance(state_a, state_b)
+    assert abs(twirled_hs_distance(state_a, state_b) - want) <= 1e-13
+    assert abs(twirled_hs_distance(state_a, state_a)) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=grid_pairs(),
+    z_mag=st.floats(0.0, 3.0),
+    z_phase=st.floats(0.0, 2 * np.pi),
+)
+def test_relative_state_overlap_matches_block_loop(pair, z_mag, z_phase):
+    state = pair[0]
+    z = z_mag * np.exp(1j * z_phase)
+    want = loop_relative_state_overlap(state, z)
+    assert abs(relative_state_overlap(state, z) - want) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nhat=st.floats(0.0, 50.0),
+    phase=st.floats(0.0, 2 * np.pi),
+    z_mag=st.floats(0.0, 3.0),
+    z_phase=st.floats(0.0, 2 * np.pi),
+    n1_max=st.integers(0, 7),
+    n2_max=st.integers(0, 59),
+)
+def test_product_grid_matches_block_loop(nhat, phase, z_mag, z_phase, n1_max, n2_max):
+    args = (nhat, np.exp(1j * phase), z_mag * np.exp(1j * z_phase), n1_max, n2_max)
+    grid, mass = _product_grid(*args)
+    want_grid, want_mass = loop_product_grid(*args)
+    assert np.max(np.abs(grid - want_grid)) <= 1e-13
+    assert abs(mass - want_mass) <= 1e-13
 
 
 class TestApproxProduct:
@@ -183,3 +337,94 @@ class TestSweep:
                 case["relative_state_overlap"], abs=1e-9
             )
         assert 1.0 - fidelities[-1] < oracle["factorization_infidelity_threshold_beta32"]
+
+
+class TestUnderflow:
+    """|z| = 28: every WH weight w_k with k <= N underflows for the lowest N,
+    so W_N = 0 and the block formula reads 0/0 there."""
+
+    def test_product_grid_zeroes_underflowed_blocks(self):
+        args = (28.0**2 + 30.0**2, 1.0, 28.0, 1074, 10)
+        with np.errstate(invalid="ignore"):
+            want, _ = loop_product_grid(*args)
+        grid, mass = _product_grid(*args)
+        lost = np.isnan(want)
+        assert lost.any()
+        assert np.all(grid[lost] == 0.0)
+        assert np.max(np.abs(grid[~lost] - want[~lost])) <= 1e-13
+        assert math.isfinite(mass)
+
+    def test_report_is_finite(self):
+        report = factorization_fidelity(28.0, 30.0)
+        values = (report.pure_fidelity, report.twirled_hs_distance, report.relative_state_overlap)
+        assert all(math.isfinite(value) for value in values)
+        assert 0.0 < report.pure_fidelity <= 1.0
+
+
+class TestStressOracle:
+    """mpmath rows at |beta| = 64 and 100, where the BlockState route held a
+    quadratic number of block entries."""
+
+    CASES = json.loads((FIXTURES / "oracle_stress.json").read_text())["factorization_stress_alpha1"]
+
+    @pytest.mark.parametrize("case", CASES, ids=[f"beta{c['beta_mag']}" for c in CASES])
+    def test_report_matches_oracle(self, case):
+        report = factorization_fidelity(1, case["beta_mag"])
+        assert (report.n1_max, report.n2_max) == (case["n1_max"], case["n2_max"])
+        for name in ("pure_fidelity", "twirled_hs_distance", "relative_state_overlap"):
+            assert getattr(report, name) == pytest.approx(case[name], abs=1e-9)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_sweep_memory_is_linear_in_the_grid(self, tmp_path):
+        # The grid is 22 x 11011 (3.9 MB); a BlockState of it held 2.15 GB.
+        # VmHWM is the peak of the process's own address space after exec;
+        # ru_maxrss would also count the parent's pages shared before exec.
+        script = (
+            "import re, sys\n"
+            "from relphase.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+            "sys.exit(code)\n"
+        )
+        args = ["factorize-sweep", "--alpha", "1", "--beta-list", "100"]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *args, "--out", str(tmp_path / "sweep.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) * 1024 / 1e6 < 100  # kB here means KiB
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: default_cutoff(math.inf),
+            lambda: default_cutoff(math.nan),
+            lambda: relative_target(1.0, complex(math.nan, 0)),
+            lambda: factorization_fidelity(math.inf, 2.0),
+            lambda: factorization_fidelity(1.0, complex(math.nan, math.nan)),
+            lambda: approx_product_balanced(1.0, math.nan),
+        ],
+        ids=["cutoff-inf", "cutoff-nan", "target-nan", "alpha-inf", "beta-nan", "balanced-phase"],
+    )
+    def test_non_finite_input_rejected(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+    def test_overflowing_cutoff_is_size_error(self):
+        with pytest.raises(SizeLimitError, match="overflows"):
+            default_cutoff(1e200)
+
+    def test_oversize_grid_refused_before_allocation(self):
+        # each grid is within 22 entries of the limit, so a missing guard
+        # would allocate about 140 MB, not tens of GB
+        with pytest.raises(SizeLimitError, match="limit"):
+            two_mode_coherent(1.0, 1.0, 0, MAX_GRID_ENTRIES)
+        n2_max = MAX_GRID_ENTRIES // 22
+        with pytest.raises(SizeLimitError, match="limit"):
+            approx_product(1.0, 620.0, n1_max=21, n2_max=n2_max)
+        with pytest.raises(SizeLimitError, match="limit"):
+            factorization_fidelity(1.0, 620.0)

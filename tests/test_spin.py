@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relphase import (
+    SizeLimitError,
     contraction_overlap,
     embed_wh,
     params_from_modes,
@@ -11,6 +12,7 @@ from relphase import (
     to_blocks,
     two_mode_coherent,
 )
+from relphase.spin import MAX_SPIN_N
 
 
 class TestParamsFromModes:
@@ -120,6 +122,17 @@ class TestContractionOverlap:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             contraction_overlap(1, 0)
+
+    def test_oversize_refused_before_allocation(self):
+        with pytest.raises(SizeLimitError, match="limit"):
+            contraction_overlap(1, MAX_SPIN_N + 1)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1, math.inf)])
+    def test_non_finite_amplitude_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            contraction_overlap(z, 25)
+        with pytest.raises(ValueError, match="finite"):
+            embed_wh(z, 25)
 
 
 def test_blocks_equal_spin_coherent_states():

@@ -25,6 +25,7 @@ from relphase import (
     von_mises_prior,
 )
 from relphase.blocks import block_offset
+from relphase.twirl import _twirl
 
 from conftest import random_state_vector
 
@@ -409,3 +410,30 @@ class TestKernelMatchesLoop:
         observable = random_commutant_observable(blocks.n_max, seed, basis="block")
         pure = DensityMatrix(np.outer(psi, psi.conj()), basis="block")
         assert_channel_properties(rho, reference, observable, pure)
+
+
+def previous_twirl_two_mode(state, prior):
+    """twirl_two_mode as it was before the direct scatter: the kernel applied
+    to the flattened BlockState of the grid."""
+    blocks = to_blocks(state)
+    return _twirl(blocks.flatten(), total_number_labels(blocks.n_max), prior)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    prior_index=st.integers(0, 4),
+)
+def test_two_mode_scatter_matches_block_flatten(rows, cols, seed, prior_index):
+    rng = np.random.default_rng(seed)
+    state = random_state_vector(rng, rows * cols).reshape(rows, cols)
+    big_n = np.add.outer(np.arange(rows), np.arange(cols))
+    state[big_n == rng.integers(0, rows + cols - 1)] = 0.0  # one empty block
+    if not state.any():
+        state[0, 0] = 1.0
+    state /= np.linalg.norm(state)
+    prior = prior_family(rng)[prior_index]
+    rho = twirl_two_mode(state, prior).matrix
+    assert np.max(np.abs(rho - previous_twirl_two_mode(state, prior))) <= 1e-14

@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate tests/fixtures/oracle.json by brute-force arbitrary-precision sums.
+"""Regenerate tests/fixtures/oracle.json and tests/fixtures/oracle_stress.json
+by brute-force arbitrary-precision sums.
 
 Everything here is computed from first-principles formulas with mpmath
 (40 decimal digits) or exact Fraction arithmetic, deliberately sharing no
-code with the library under src/.  Values are frozen into the JSON fixture
-and asserted by the test suite; rerun this script only to audit them.
+code with the library under src/.  Values are frozen into the JSON fixtures
+and asserted by the test suite; rerun this script only to audit them.  The
+stress file holds the factorization rows at |beta| = 64 and 100 (grids of
+22 x 4747 and 22 x 11011), kept apart so that oracle.json stays as it was.
+
+    pip install -e '.[fixtures]' && python tools/make_fixtures.py
 """
 
 import json
@@ -15,7 +20,10 @@ import mpmath as mp
 
 mp.mp.dps = 40
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "oracle.json"
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+OUT = FIXTURES / "oracle.json"
+STRESS_OUT = FIXTURES / "oracle_stress.json"
+STRESS_BETAS = [64, 100]
 
 
 def poisson_tail(mean, n_max):
@@ -228,9 +236,20 @@ def main():
     # gives 2 e^{-1}, uniform gives 0.
     fx["witness_spread_alpha1"] = float(2 / mp.e)
 
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(fx, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUT}")
+    write(OUT, fx)
+
+    stress = []
+    for b in STRESS_BETAS:
+        case = factorization_case(1, b, 1)
+        case["beta_mag"] = b
+        stress.append(case)
+    write(STRESS_OUT, {"factorization_stress_alpha1": stress})
+
+
+def write(path, fixtures):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(fixtures, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

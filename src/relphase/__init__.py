@@ -17,6 +17,7 @@ from .blocks import (
     to_blocks,
     two_mode_coherent,
 )
+from .cli import main
 from .factorize import (
     FactorizationReport,
     InsufficientCutoffError,

@@ -12,20 +12,22 @@ import argparse
 import csv
 import io
 import json
+import locale  # noqa: F401  -- argparse's gettext imports it at the first message lookup
 import sys
 
 import numpy as np
 
-from .blocks import default_cutoff
+from .blocks import check_grid_size, default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
 from .fock import SizeLimitError, coherent_vector, fidelity_pure_mixed, purity
-from .lattice import QuditPairState, relative_pair, sum_gate, twirled_relative
+from .lattice import QuditPairState, _require_odd, relative_pair, sum_gate, twirled_relative
 from .spin import contraction_overlap
 from .twirl import (
     coherence_witness,
     expectation,
     parse_prior,
     random_commutant_observable,
+    read_prior_rows,
     twirl_single_mode,
     von_mises_prior,
 )
@@ -177,6 +179,7 @@ def cmd_twirl_demo(args) -> int:
         raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
+    check_grid_size(n_max, n_max)  # the dense twirl is (n_max+1)^2
     prior_specs = args.prior if args.prior else list(DEFAULT_TWIRL_PRIORS)
     priors = [(spec, parse_prior(spec)) for spec in prior_specs]
     config = {
@@ -208,10 +211,9 @@ def cmd_twirl_demo(args) -> int:
     return EXIT_OK
 
 
-def _shift(text: str, d: int) -> int:
-    value = float(text)
+def _shift(value: float, d: int) -> int:
     if not np.isfinite(value):
-        raise ValueError(f"lattice shift must be finite, got {text!r}")
+        raise ValueError(f"lattice shift must be finite, got {value!r}")
     return int(value) % d
 
 
@@ -225,29 +227,22 @@ def parse_shift_prior(spec: str, d: int) -> np.ndarray:
         return np.full(d, 1.0 / d)
     if name == "point":
         weights = np.zeros(d)
-        weights[_shift(arg, d)] = 1.0
+        weights[_shift(float(arg), d)] = 1.0
         return weights
     if name == "twopoint":
         parts = arg.split(",")
         if len(parts) != 2:
             raise ValueError(f"twopoint prior needs two shifts, got {arg!r}")
         weights = np.zeros(d)
-        weights[_shift(parts[0], d)] += 0.5
-        weights[_shift(parts[1], d)] += 0.5
+        weights[_shift(float(parts[0]), d)] += 0.5
+        weights[_shift(float(parts[1]), d)] += 0.5
         return weights
     if name == "vonmises":
         return von_mises_prior(float(arg), n_points=d).weights
     if name == "grid":
         weights = np.zeros(d)
-        with open(arg) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ValueError(f"prior file row must be 'shift,weight', got {line!r}")
-                weights[_shift(parts[0], d)] += float(parts[1])
+        for shift, weight in read_prior_rows(arg, "shift"):
+            weights[_shift(shift, d)] += weight
         return weights
     raise ValueError(f"unknown prior spec {spec!r}")
 
@@ -268,10 +263,7 @@ def _way_scenario(name: str, d: int, rng) -> QuditPairState:
 
 
 def cmd_way_demo(args) -> int:
-    dims = _int_list(args.dim_list)
-    for d in dims:
-        if d % 2 == 0 or d < 3:
-            raise ValueError(f"lattice dimension must be odd and >= 3, got {d}")
+    dims = [_require_odd(d) for d in _int_list(args.dim_list)]
     prior_specs = args.prior if args.prior else list(DEFAULT_WAY_PRIORS)
     config = {
         "command": "way-demo",

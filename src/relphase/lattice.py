@@ -32,9 +32,10 @@ PRODUCT = "product"
 RELATIVE = "relative"
 
 
-def _require_odd(d: int):
+def _require_odd(d: int) -> int:
     if d % 2 == 0 or d < 3:
         raise ValueError(f"lattice dimension must be odd and >= 3, got {d}")
+    return d
 
 
 @dataclass(frozen=True)

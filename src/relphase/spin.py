@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import SizeLimitError, coherent_vector
+from .fock import SizeLimitError, log_factorial, log_falling_ratio
 
 __all__ = [
     "MAX_SPIN_N",
@@ -26,9 +25,21 @@ __all__ = [
     "spin_coherent",
 ]
 
-# Largest spin size contraction_overlap will evaluate: its two length-(N+1)
-# profiles and their log-gamma temporaries take about 1 GB at 2**24.
+# Largest spin size contraction_overlap accepts; a larger N raises
+# SizeLimitError (exit 3 in the CLI).  It no longer guards memory: the overlap
+# touches only the window of k where the WH profile is representable, O(|z|)
+# entries at any N.  It keeps the accepted range of N as documented; the
+# mpmath stress rows check N up to 10**6.
 MAX_SPIN_N = 2**24
+
+# Half-widths of the WH window in _log_wh_window: outside it every amplitude,
+# rescaled by the largest one at k <= N, is below e^-745 and underflows to 0.
+# With mu = |z|^2 the squared profile is a Poisson law, whose log falls by at
+# least t^2 / (2 mu) at k = mu - t and by t^2 / (2 (mu + t/3)) at k = mu + t;
+# 1490 = 2 * 745 is reached by t = 56|z| + 10 below and 56|z| + 1000 above.
+WINDOW_WIDTH = 56.0
+WINDOW_MARGIN_BELOW = 10.0
+WINDOW_MARGIN_ABOVE = 1000.0
 
 
 @dataclass(frozen=True)
@@ -68,24 +79,65 @@ def spin_coherent(big_n: int, xi: complex) -> np.ndarray:
     """
     if big_n < 0:
         raise ValueError(f"N must be >= 0, got {big_n}")
-    if xi == 0:
+    if xi == 0 or big_n == 0:
         amps = np.zeros(big_n + 1, dtype=complex)
         amps[0] = 1.0
         return amps
     k = np.arange(big_n + 1)
-    log_binom = gammaln(big_n + 1.0) - gammaln(k + 1.0) - gammaln(big_n - k + 1.0)
-    mag = abs(xi)
-    log_mag = 0.5 * log_binom + k * np.log(mag) - 0.5 * big_n * np.log1p(mag * mag)
-    return np.exp(log_mag + 1j * np.angle(xi) * k)
+    mag = float(abs(xi)) * math.sqrt(big_n)
+    return np.exp(_log_spin_profile(big_n, mag, k) + 1j * np.angle(xi) * k)
+
+
+def _log_spin_profile(big_n: int, mag: float, k: np.ndarray) -> np.ndarray:
+    """log |amplitude(k)| of the spin-N/2 coherent state with |xi| = mag/sqrt(N).
+
+    With m = min(k, N-k), binom(N, k) |xi|^{2k} is
+    N!/((N-m)! N^m) / m! * N^{m-k} mag^{2k}, so no term k ln N is formed
+    only to be cancelled (it is 0 for k <= N/2).
+    """
+    m = np.minimum(k, big_n - k)
+    log_weight = log_falling_ratio(big_n, m) - log_factorial(m)
+    log_weight += (m - k) * math.log(big_n) + 2 * k * math.log(mag)
+    xi2 = mag * mag / big_n
+    # past |mag| ~ 1e154 the square overflows, where log1p(xi2) is log(xi2)
+    log_norm = math.log1p(xi2) if math.isfinite(xi2) else 2 * math.log(mag) - math.log(big_n)
+    return 0.5 * log_weight - 0.5 * big_n * log_norm
+
+
+def _log_wh_window(z: complex, big_n: int):
+    """The WH coherent profile of amplitude z on k <= N, in log space and
+    rescaled by its largest value: (k, log |w_k| - max_j log |w_j|) over the
+    window of k outside which every rescaled |w_k| is below e^-745.
+
+    The profile k ln|z| - log(k!)/2 is concave with its top at
+    p = min(|z|^2, N), so the window is p - 56|z| - 10 ... p + 56|z| + 1000,
+    clipped to [0, N]: O(|z|) entries at any N.  z = 0 gives k = [0].  A
+    non-finite z raises ValueError.
+    """
+    if not np.isfinite(z):
+        raise ValueError(f"coherent amplitude must be finite, got {z}")
+    if z == 0:
+        return np.zeros(1, dtype=int), np.zeros(1)
+    mag = float(abs(z))
+    top = min(mag * mag, big_n)
+    lo = max(0, math.floor(top - WINDOW_WIDTH * mag - WINDOW_MARGIN_BELOW))
+    hi = min(big_n, math.ceil(top + WINDOW_WIDTH * mag + WINDOW_MARGIN_ABOVE))
+    k = np.arange(lo, hi + 1)
+    log_w = k * math.log(mag) - 0.5 * log_factorial(k)
+    return k, log_w - log_w.max()
 
 
 def embed_wh(z: complex, big_n: int) -> np.ndarray:
     """Weyl-Heisenberg coherent amplitudes truncated to k <= N, renormalized.
 
-    For N past |z|^2 + 10|z| + 10 the renormalization factor is 1 to well
-    under 1e-10 (Poisson tail).  A non-finite z raises ValueError.
+    Built from the rescaled log profile of _log_wh_window, so it stays finite
+    and normalized when every raw amplitude up to N underflows (|z| above
+    about 27).  For N past |z|^2 + 10|z| + 10 the renormalization factor is 1
+    to well under 1e-10 (Poisson tail).  A non-finite z raises ValueError.
     """
-    amps = coherent_vector(z, big_n)
+    k, log_w = _log_wh_window(z, big_n)
+    amps = np.zeros(big_n + 1, dtype=complex)
+    amps[k] = np.exp(log_w + 1j * np.angle(z) * k)
     return amps / np.linalg.norm(amps)
 
 
@@ -94,12 +146,17 @@ def contraction_overlap(z: complex, big_n: int) -> float:
 
     Approaches 1 as N grows at fixed z: the spin family contracts onto the
     WH coherent state when the stereographic parameter shrinks like
-    1/sqrt(N).  N above MAX_SPIN_N raises SizeLimitError before anything is
-    allocated.
+    1/sqrt(N).  Both states carry the phase arg(z) k, so the overlap is
+    (sum_k |w_k| |s_k|)^2 / sum_k |w_k|^2, summed in log space over the
+    window of _log_wh_window only.  N above MAX_SPIN_N raises SizeLimitError.
     """
     if big_n < 1:
         raise ValueError(f"N must be >= 1, got {big_n}")
     if big_n > MAX_SPIN_N:
         raise SizeLimitError(f"N = {big_n} is above the limit of {MAX_SPIN_N}")
-    overlap = np.vdot(embed_wh(z, big_n), spin_coherent(big_n, z / math.sqrt(big_n)))
-    return min(float(abs(overlap) ** 2), 1.0)
+    k, log_w = _log_wh_window(z, big_n)
+    if z == 0:
+        return 1.0
+    log_s = _log_spin_profile(big_n, float(abs(z)), k)
+    cross = np.sum(np.exp(log_w + log_s))
+    return min(float(cross * cross / np.sum(np.exp(2.0 * log_w))), 1.0)

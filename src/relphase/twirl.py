@@ -13,10 +13,10 @@ different charges exactly.  Observables that commute with the charge give
 the same expectation under every prior.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .blocks import block_dim, block_offset, total_number
 from .fock import DensityMatrix
@@ -32,6 +32,7 @@ __all__ = [
     "parse_prior",
     "point_prior",
     "random_commutant_observable",
+    "read_prior_rows",
     "twirl_single_mode",
     "twirl_two_mode",
     "two_point_prior",
@@ -111,19 +112,26 @@ def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION, center: float
     return PriorGrid(angles=angles, weights=weights / weights.sum())
 
 
-def grid_prior_from_csv(path) -> PriorGrid:
-    """Load CSV rows ``angle,weight`` (radians in [0, 2pi))."""
-    angles = []
-    weights = []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].lstrip().startswith("#"):
+def read_prior_rows(path, value_name: str) -> list:
+    """(value, weight) float pairs from the rows ``<value>,<weight>`` of a
+    prior file; blank lines and lines starting with ``#`` are skipped."""
+    rows = []
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("#"):
                 continue
-            if len(row) != 2:
-                raise ValueError(f"prior file row must be 'angle,weight', got {row!r}")
-            angles.append(float(row[0]))
-            weights.append(float(row[1]))
-    return PriorGrid(angles=np.array(angles), weights=np.array(weights))
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"prior file row must be '{value_name},weight', got {line!r}")
+            rows.append((float(parts[0]), float(parts[1])))
+    return rows
+
+
+def grid_prior_from_csv(path) -> PriorGrid:
+    """Load rows ``angle,weight`` (radians in [0, 2pi))."""
+    rows = read_prior_rows(path, "angle")
+    return PriorGrid(angles=np.array([a for a, _ in rows]), weights=np.array([w for _, w in rows]))
 
 
 def parse_prior(spec: str):
@@ -200,7 +208,7 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if basis == "fock":
         return Observable(np.diag(rng.standard_normal(n_max + 1)).astype(complex), basis)
     if basis == "block":

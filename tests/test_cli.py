@@ -1,9 +1,15 @@
 import json
+import math
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+STRESS = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "oracle_stress.json").read_text()
+)["contraction_overlap_stress"]
 
 FACTORIZE_COLUMNS = [
     "alpha_mag",
@@ -113,6 +119,16 @@ class TestContractOverlap:
         result = run_cli("contract-overlap", "--z", "1", "--n-grid", "10,frog")
         assert result.returncode == 2
 
+    def test_large_amplitude_row_finite(self):
+        # every raw WH weight up to N = 25 underflows at |z| = 50
+        (expected,) = [row["overlap"] for row in STRESS if row["z"] == 50 and row["N"] == 25]
+        result = run_cli("contract-overlap", "--z", "50", "--n-grid", "25")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        _, _, rows = parse_csv(result.stdout)
+        assert math.isfinite(float(rows[0]["overlap"]))
+        assert float(rows[0]["overlap"]) == pytest.approx(expected, abs=1e-12)
+
 
 class TestTwirlDemo:
     def test_commutant_agrees_control_differs(self):
@@ -206,8 +222,11 @@ def test_bad_magnitude_is_config_error(args):
         ("factorize-sweep", "--alpha", "1", "--beta-list", "620"),
         ("factorize-sweep", "--alpha", "1", "--beta-list", "1e200"),
         ("contract-overlap", "--z", "1", "--n-grid", "25,16777217"),
+        # a (n_max+1)^2 dense twirl at n_max of about 1e12
+        ("twirl-demo", "--alpha", "1e6"),
+        ("twirl-demo", "--n-max", "2896"),
     ],
-    ids=["grid", "cutoff-overflow", "spin-size"],
+    ids=["grid", "cutoff-overflow", "spin-size", "twirl-alpha", "twirl-n-max"],
 )
 def test_oversize_request_refused_with_exit_3(args):
     result = run_cli(*args)
@@ -250,6 +269,36 @@ class TestWayDemo:
         result = run_cli("way-demo", "--dim-list", "4")
         assert result.returncode == 2
         assert "odd" in result.stderr
+
+    @pytest.mark.parametrize("dims", ["3,-1", "0", "5,1"])
+    def test_bad_dimension_refused_before_any_row(self, dims):
+        result = run_cli("way-demo", "--dim-list", dims)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("relphase: lattice dimension must be odd and >= 3")
+
+
+class TestPriorFiles:
+    """Both demos read grid priors with one row reader."""
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text("# value,weight\n\n0,0.25\n  # indented comment\n1,0.75\n")
+        for command in ("twirl-demo", "way-demo"):
+            result = run_cli(command, "--prior", f"grid:{path}")
+            assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "command, name", [("twirl-demo", "angle"), ("way-demo", "shift")]
+    )
+    def test_bad_row_names_its_columns(self, tmp_path, command, name):
+        path = tmp_path / "prior.csv"
+        path.write_text("0,0.5,1\n")
+        result = run_cli(command, "--prior", f"grid:{path}")
+        assert result.returncode == 2
+        assert result.stderr.strip() == (
+            f"relphase: prior file row must be '{name},weight', got '0,0.5,1'"
+        )
 
 
 class TestOutputContract:

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import (
     DensityMatrix,
@@ -11,6 +15,7 @@ from relphase import (
     inner,
     purity,
 )
+from relphase.fock import STIRLING_FROM, log_binomial, log_factorial, log_falling_ratio
 
 from conftest import random_density_matrix, random_state_vector
 
@@ -166,3 +171,69 @@ def test_hs_distance_basics():
     assert hs_distance(a, b) == pytest.approx(np.sqrt(0.5), abs=1e-14)
     with pytest.raises(ValueError, match="basis mismatch"):
         hs_distance(a, DensityMatrix(np.eye(2, dtype=complex) / 2, basis="block"))
+
+
+class TestLogFactorial:
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.integers(0, 2**24))
+    def test_matches_lgamma(self, n):
+        expected = math.lgamma(n + 1.0)
+        assert abs(float(log_factorial(n)) - expected) <= 1e-15 * abs(expected)
+
+    def test_table_and_series_meet(self):
+        n = np.arange(STIRLING_FROM - 8, STIRLING_FROM + 8)
+        expected = np.array([math.lgamma(k + 1.0) for k in n])
+        assert np.all(np.abs(log_factorial(n) - expected) <= 1e-15 * expected)
+
+    def test_vectorised_equals_scalar(self):
+        n = np.array([0, 1, 5, 31, 32, 33, 1000, 2**24])
+        assert log_factorial(n).tolist() == [float(log_factorial(k)) for k in n]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            log_factorial(-1)
+
+
+@st.composite
+def binomial_args(draw):
+    big_n = draw(st.integers(0, 2**13))
+    return big_n, draw(st.integers(0, big_n))
+
+
+class TestLogBinomial:
+    @settings(max_examples=300, deadline=None)
+    @given(args=binomial_args())
+    def test_matches_exact_comb(self, args):
+        big_n, k = args
+        expected = math.log(math.comb(big_n, k))
+        assert abs(float(log_binomial(big_n, k)) - expected) <= 1e-14 * max(1.0, expected)
+
+    def test_full_rows_symmetric_and_exact_at_ends(self):
+        for big_n in (0, 1, 2, 31, 32, 63, 64, 1000):
+            row = log_binomial(big_n, np.arange(big_n + 1))
+            assert row[0] == 0.0 and row[-1] == 0.0
+            assert np.array_equal(row, row[::-1])
+
+    def test_falling_ratio_is_a_product_of_log1p_terms(self):
+        cases = ((1, 0), (2, 1), (40, 7), (63, 31), (4000, 2000), (10**6, 3), (10**6, 1999))
+        for big_n, m in cases:
+            expected = math.fsum(math.log1p(-j / big_n) for j in range(m))
+            assert abs(float(log_falling_ratio(big_n, m)) - expected) <= 1e-15 * max(1, m)
+        with pytest.raises(ValueError):
+            log_falling_ratio(4, 3)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            log_binomial(3, 4)
+        with pytest.raises(ValueError):
+            log_binomial(3, -1)
+
+
+def test_import_loads_no_scipy():
+    script = (
+        "import sys, relphase\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import (
     SizeLimitError,
@@ -12,7 +15,30 @@ from relphase import (
     to_blocks,
     two_mode_coherent,
 )
-from relphase.spin import MAX_SPIN_N
+from relphase.fock import log_factorial
+from relphase.spin import MAX_SPIN_N, _log_wh_window
+
+from conftest import FIXTURES
+
+STRESS = json.loads((FIXTURES / "oracle_stress.json").read_text())["contraction_overlap_stress"]
+
+
+def full_contraction_overlap(z, big_n):
+    """Reference: the full-length overlap the windowed one replaced, with
+    both length-(N+1) profiles built from math.lgamma differences.  Gives
+    NaN once every WH weight up to N underflows (|z| above about 27)."""
+    lgam = np.array([math.lgamma(k + 1.0) for k in range(big_n + 1)])
+    k = np.arange(big_n + 1)
+    mag = abs(z)
+    wh = np.exp(-0.5 * mag * mag + k * np.log(mag) - 0.5 * lgam + 1j * np.angle(z) * k)
+    wh = wh / np.linalg.norm(wh)
+    xi = z / math.sqrt(big_n)
+    log_binom = lgam[big_n] - lgam - lgam[::-1]
+    spin = np.exp(
+        0.5 * log_binom + k * np.log(abs(xi)) - 0.5 * big_n * np.log1p(abs(xi) ** 2)
+        + 1j * np.angle(xi) * k
+    )
+    return min(float(abs(np.vdot(wh, spin)) ** 2), 1.0)
 
 
 class TestParamsFromModes:
@@ -126,6 +152,47 @@ class TestContractionOverlap:
     def test_oversize_refused_before_allocation(self):
         with pytest.raises(SizeLimitError, match="limit"):
             contraction_overlap(1, MAX_SPIN_N + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mag=st.floats(1e-3, 20.0),
+        phase=st.floats(-math.pi, math.pi),
+        big_n=st.integers(1, 10_000),
+    )
+    def test_window_matches_full_length_reference(self, mag, phase, big_n):
+        # the reference's log binomials are differences of lgamma(N+1)-sized
+        # numbers, so it carries a few ulps of lgamma(N+1)
+        z = mag * complex(math.cos(phase), math.sin(phase))
+        tol = 1e-13 + 1e-15 * math.lgamma(big_n + 1.0)
+        assert contraction_overlap(z, big_n) == pytest.approx(
+            full_contraction_overlap(z, big_n), abs=tol
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(mag=st.floats(1e-6, 1000.0), big_n=st.integers(1, 200_000))
+    def test_entries_outside_window_underflow(self, mag, big_n):
+        k = np.arange(big_n + 1)
+        full = k * math.log(mag) - 0.5 * log_factorial(k)
+        full -= full.max()
+        window, log_w = _log_wh_window(mag, big_n)
+        assert np.allclose(log_w, full[window], rtol=0, atol=1e-9)
+        outside = np.ones(big_n + 1, dtype=bool)
+        outside[window] = False
+        assert not np.any(np.exp(full[outside]))
+
+    @pytest.mark.parametrize("row", STRESS, ids=[f"z{r['z']}-N{r['N']}" for r in STRESS])
+    def test_matches_stress_oracle(self, row):
+        assert contraction_overlap(row["z"], row["N"]) == pytest.approx(row["overlap"], abs=1e-12)
+
+    def test_large_amplitude_is_finite(self):
+        # every raw WH weight up to N = 25 underflows at |z| = 50
+        vec = embed_wh(50.0 * np.exp(0.4j), 25)
+        assert np.all(np.isfinite(vec))
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        assert np.argmax(abs(vec)) == 25
+        assert np.isfinite(contraction_overlap(50, 25))
+        # |z|^2 overflows a float: both states sit on k = N
+        assert contraction_overlap(1e155, 25) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1, math.inf)])
     def test_non_finite_amplitude_rejected(self, z):

@@ -7,7 +7,8 @@ Everything here is computed from first-principles formulas with mpmath
 code with the library under src/.  Values are frozen into the JSON fixtures
 and asserted by the test suite; rerun this script only to audit them.  The
 stress file holds the factorization rows at |beta| = 64 and 100 (grids of
-22 x 4747 and 22 x 11011), kept apart so that oracle.json stays as it was.
+22 x 4747 and 22 x 11011) and contraction overlaps up to N = 10**6 and at
+|z| = 50, kept apart so that oracle.json stays as it was.
 
     pip install -e '.[fixtures]' && python tools/make_fixtures.py
 """
@@ -24,6 +25,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 OUT = FIXTURES / "oracle.json"
 STRESS_OUT = FIXTURES / "oracle_stress.json"
 STRESS_BETAS = [64, 100]
+STRESS_CONTRACTION = [
+    (1, 10**4), (1, 10**5), (1, 10**6), (2, 10**4), (2, 10**5), (2, 10**6), (50, 25)
+]
 
 
 def poisson_tail(mean, n_max):
@@ -243,7 +247,13 @@ def main():
         case = factorization_case(1, b, 1)
         case["beta_mag"] = b
         stress.append(case)
-    write(STRESS_OUT, {"factorization_stress_alpha1": stress})
+    contraction = [
+        {"z": z, "N": n, "overlap": float(contraction_overlap(z, n))} for z, n in STRESS_CONTRACTION
+    ]
+    write(
+        STRESS_OUT,
+        {"contraction_overlap_stress": contraction, "factorization_stress_alpha1": stress},
+    )
 
 
 def write(path, fixtures):

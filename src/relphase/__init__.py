@@ -46,6 +46,7 @@ from .lattice import (
     product_pair,
     reduced_relative,
     relative_pair,
+    shift_prior,
     sum_gate,
     to_relative_basis,
     twirl_displacement,

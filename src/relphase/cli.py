@@ -1,9 +1,11 @@
 """Deterministic CSV/JSON tables for the factorization sweep, the
 contraction-convergence study, the phase-twirl demo and the lattice demo.
 
-Every run echoes its fully resolved configuration (defaults included) as a
-``# config`` comment line (CSV) or a ``config`` object (JSON); identical
-configurations produce byte-identical output.  Exit codes: 0 success,
+Every run echoes its fully resolved configuration as a ``# config`` comment
+line (CSV) or a ``config`` object (JSON): the parsed arguments but ``--out``,
+with the values the command resolved.  Columns are the row keys.  Identical
+configurations produce byte-identical output.  ``--prior`` specs follow the
+one grammar of ``twirl.read_prior_spec``.  Exit codes: 0 success,
 2 configuration error, 3 numerical-precondition failure or a size above a
 module limit, refused before allocation.
 """
@@ -14,22 +16,28 @@ import io
 import json
 import locale  # noqa: F401  -- argparse's gettext imports it at the first message lookup
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .blocks import check_grid_size, default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
-from .fock import SizeLimitError, coherent_vector, fidelity_pure_mixed, purity
-from .lattice import QuditPairState, _require_odd, relative_pair, sum_gate, twirled_relative
+from .fock import SizeLimitError, coherent_vector, purity
+from .lattice import (
+    QuditPairState,
+    _require_odd,
+    relative_pair,
+    shift_prior,
+    sum_gate,
+    twirled_relative,
+)
 from .spin import contraction_overlap
 from .twirl import (
     coherence_witness,
     expectation,
     parse_prior,
     random_commutant_observable,
-    read_prior_rows,
     twirl_single_mode,
-    von_mises_prior,
 )
 
 EXIT_OK = 0
@@ -39,23 +47,21 @@ EXIT_NUMERIC = 3
 DEFAULT_N_GRID = "25,50,100,200,400,800"
 DEFAULT_TWIRL_PRIORS = ["uniform", "point:0.0", "twopoint:0.0,3.141592653589793", "vonmises:4.0"]
 DEFAULT_WAY_PRIORS = ["uniform", "point:1", "twopoint:0,2", "vonmises:4.0"]
-DEFAULT_WAY_SCENARIOS = ["separable", "sum-entangled", "max-entangled"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _emit(args, config: dict, columns: list, rows: list):
+def _emit(args, rows: list, **resolved):
+    """Write the table.  The config echo is the parsed arguments (minus
+    ``out`` and ``func``) updated with the values the command resolved; the
+    columns are the keys of the first row."""
+    config = {key: value for key, value in vars(args).items() if key not in ("out", "func")}
+    config.update(resolved)
+    columns = list(rows[0])
     if args.output == "csv":
         buffer = io.StringIO()
         buffer.write("# config " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+        writer = csv.DictWriter(buffer, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
         text = buffer.getvalue()
     else:
         payload = {"config": config, "columns": columns, "rows": rows}
@@ -67,18 +73,11 @@ def _emit(args, config: dict, columns: list, rows: list):
             handle.write(text)
 
 
-def _float_list(text: str) -> list:
+def _list(text: str, kind, what: str) -> list:
     try:
-        return [float(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _int_list(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
+        raise ValueError(f"expected a comma-separated list of {what}, got {text!r}")
 
 
 def _finite(flag: str, value: float) -> float:
@@ -99,68 +98,36 @@ def _complex(flag: str, mag: float, phase: float) -> complex:
 
 def cmd_factorize_sweep(args) -> int:
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
-    beta_mags = [_magnitude("--beta-list entry", mag) for mag in _float_list(args.beta_list)]
+    mags = _list(args.beta_list, float, "numbers")
+    beta_mags = [_magnitude("--beta-list entry", mag) for mag in mags]
     _finite("--beta-phase", args.beta_phase)
-    config = {
-        "command": "factorize-sweep",
-        "alpha": args.alpha,
-        "alpha_phase": args.alpha_phase,
-        "beta_list": beta_mags,
-        "beta_phase": args.beta_phase,
-        "n1_max": args.n1_max,
-        "n2_max": args.n2_max,
-        "output": args.output,
-        "seed": args.seed,
-    }
     reports = sweep_fidelity(
         alpha, beta_mags, phi_beta=args.beta_phase, n1_max=args.n1_max, n2_max=args.n2_max
     )
-    columns = [
-        "alpha_mag",
-        "alpha_phase",
-        "beta_mag",
-        "beta_phase",
-        "n1_max",
-        "n2_max",
-        "condition_ratio",
-        "pure_fidelity",
-        "twirled_hs_distance",
-        "relative_state_overlap",
+    rows = [
+        {
+            "alpha_mag": float(args.alpha),
+            "alpha_phase": float(args.alpha_phase),
+            "beta_mag": float(mag),
+            "beta_phase": float(args.beta_phase),
+            "n1_max": int(report.n1_max),
+            "n2_max": int(report.n2_max),
+            "condition_ratio": float(report.condition_ratio),
+            "pure_fidelity": float(report.pure_fidelity),
+            "twirled_hs_distance": float(report.twirled_hs_distance),
+            "relative_state_overlap": float(report.relative_state_overlap),
+        }
+        for mag, report in zip(beta_mags, reports)
     ]
-    rows = []
-    for mag, report in zip(beta_mags, reports):
-        rows.append(
-            {
-                "alpha_mag": float(args.alpha),
-                "alpha_phase": float(args.alpha_phase),
-                "beta_mag": float(mag),
-                "beta_phase": float(args.beta_phase),
-                "n1_max": int(report.n1_max),
-                "n2_max": int(report.n2_max),
-                "condition_ratio": float(report.condition_ratio),
-                "pure_fidelity": float(report.pure_fidelity),
-                "twirled_hs_distance": float(report.twirled_hs_distance),
-                "relative_state_overlap": float(report.relative_state_overlap),
-            }
-        )
-    _emit(args, config, columns, rows)
+    _emit(args, rows, beta_list=beta_mags)
     return EXIT_OK
 
 
 def cmd_contract_overlap(args) -> int:
-    n_grid = _int_list(args.n_grid)
+    n_grid = _list(args.n_grid, int, "integers")
     if any(n < 1 for n in n_grid):
         raise ValueError("N grid entries must be >= 1")
     z = _complex("--z", args.z, args.z_phase)
-    config = {
-        "command": "contract-overlap",
-        "z": args.z,
-        "z_phase": args.z_phase,
-        "n_grid": n_grid,
-        "output": args.output,
-        "seed": args.seed,
-    }
-    columns = ["z_mag", "z_phase", "N", "overlap"]
     rows = [
         {
             "z_mag": float(args.z),
@@ -170,7 +137,7 @@ def cmd_contract_overlap(args) -> int:
         }
         for n in n_grid
     ]
-    _emit(args, config, columns, rows)
+    _emit(args, rows, n_grid=n_grid)
     return EXIT_OK
 
 
@@ -180,107 +147,53 @@ def cmd_twirl_demo(args) -> int:
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
     check_grid_size(n_max, n_max)  # the dense twirl is (n_max+1)^2
-    prior_specs = args.prior if args.prior else list(DEFAULT_TWIRL_PRIORS)
+    prior_specs = args.priors or list(DEFAULT_TWIRL_PRIORS)
     priors = [(spec, parse_prior(spec)) for spec in prior_specs]
-    config = {
-        "command": "twirl-demo",
-        "alpha": args.alpha,
-        "alpha_phase": args.alpha_phase,
-        "n_max": int(n_max),
-        "n_observables": args.n_observables,
-        "priors": prior_specs,
-        "output": args.output,
-        "seed": args.seed,
-    }
     psi = coherent_vector(alpha, n_max)
     psi = psi / np.linalg.norm(psi)
-    observables = [
-        (f"commutant{j}", random_commutant_observable(n_max, args.seed + j))
-        for j in range(args.n_observables)
-    ]
-    observables.append(("control", coherence_witness(0, n_max)))
-    columns = ["prior", "observable", "expectation"]
+    control = coherence_witness(0, n_max)
     rows = []
     for spec, prior in priors:
         rho = twirl_single_mode(psi, prior)
-        for name, obs in observables:
+        # each commutant is drawn when scored, so one dense observable is alive at a time
+        commutants = (
+            (f"commutant{j}", random_commutant_observable(n_max, args.seed + j))
+            for j in range(args.n_observables)
+        )
+        for name, obs in chain(commutants, [("control", control)]):
             rows.append(
                 {"prior": spec, "observable": name, "expectation": float(expectation(obs, rho))}
             )
-    _emit(args, config, columns, rows)
+    _emit(args, rows, n_max=int(n_max), priors=prior_specs)
     return EXIT_OK
 
 
-def _shift(value: float, d: int) -> int:
-    if not np.isfinite(value):
-        raise ValueError(f"lattice shift must be finite, got {value!r}")
-    return int(value) % d
+def _random_unit(rng, d: int) -> np.ndarray:
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return psi / np.linalg.norm(psi)
 
 
-def parse_shift_prior(spec: str, d: int) -> np.ndarray:
-    """Shift-prior flavor of the shared prior syntax: numeric parameters are
-    lattice shifts, ``vonmises:<kappa>`` weights exp(kappa cos(2 pi X / d))."""
-    name, _, arg = spec.partition(":")
-    if name == "uniform":
-        if arg:
-            raise ValueError("uniform prior takes no parameter")
-        return np.full(d, 1.0 / d)
-    if name == "point":
-        weights = np.zeros(d)
-        weights[_shift(float(arg), d)] = 1.0
-        return weights
-    if name == "twopoint":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"twopoint prior needs two shifts, got {arg!r}")
-        weights = np.zeros(d)
-        weights[_shift(float(parts[0]), d)] += 0.5
-        weights[_shift(float(parts[1]), d)] += 0.5
-        return weights
-    if name == "vonmises":
-        return von_mises_prior(float(arg), n_points=d).weights
-    if name == "grid":
-        weights = np.zeros(d)
-        for shift, weight in read_prior_rows(arg, "shift"):
-            weights[_shift(shift, d)] += weight
-        return weights
-    raise ValueError(f"unknown prior spec {spec!r}")
-
-
-def _way_scenario(name: str, d: int, rng) -> QuditPairState:
-    if name == "separable":
-        psi_r = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi_a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return relative_pair(psi_r / np.linalg.norm(psi_r), psi_a / np.linalg.norm(psi_a))
-    if name == "sum-entangled":
-        psi_r = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi_a = np.zeros(d, dtype=complex)
-        psi_a[0] = 1.0
-        return sum_gate(relative_pair(psi_r / np.linalg.norm(psi_r), psi_a))
-    if name == "max-entangled":
-        return QuditPairState(np.eye(d, dtype=complex) / np.sqrt(d), view="relative")
-    raise ValueError(f"unknown scenario {name!r}")
+def _way_scenarios(d: int, rng) -> dict:
+    """The way-demo input states by scenario name, drawn from rng in table order."""
+    ket0 = np.eye(d, dtype=complex)[0]
+    return {
+        "separable": relative_pair(_random_unit(rng, d), _random_unit(rng, d)),
+        "sum-entangled": sum_gate(relative_pair(_random_unit(rng, d), ket0)),
+        "max-entangled": QuditPairState(np.eye(d, dtype=complex) / np.sqrt(d), view="relative"),
+    }
 
 
 def cmd_way_demo(args) -> int:
-    dims = [_require_odd(d) for d in _int_list(args.dim_list)]
-    prior_specs = args.prior if args.prior else list(DEFAULT_WAY_PRIORS)
-    config = {
-        "command": "way-demo",
-        "dim_list": dims,
-        "priors": prior_specs,
-        "output": args.output,
-        "seed": args.seed,
-    }
-    columns = ["d", "scenario", "prior", "relative_purity", "relative_fidelity_to_input"]
+    dims = [_require_odd(d) for d in _list(args.dim_list, int, "integers")]
+    prior_specs = args.priors or list(DEFAULT_WAY_PRIORS)
     rows = []
     rng = np.random.default_rng(args.seed)
     for d in dims:
-        for scenario in DEFAULT_WAY_SCENARIOS:
-            state = _way_scenario(scenario, d, rng)
+        priors = [(spec, shift_prior(spec, d)) for spec in prior_specs]
+        for scenario, state in _way_scenarios(d, rng).items():
             input_rel = twirled_relative(state, np.eye(d)[0])  # point prior at X = 0: the input
-            for spec in prior_specs:
-                rho_rel = twirled_relative(state, parse_shift_prior(spec, d))
+            for spec, prior in priors:
+                rho_rel = twirled_relative(state, prior)
                 overlap = float(np.sum(input_rel.matrix * rho_rel.matrix.T).real)
                 rows.append(
                     {
@@ -291,7 +204,7 @@ def cmd_way_demo(args) -> int:
                         "relative_fidelity_to_input": overlap,
                     }
                 )
-    _emit(args, config, columns, rows)
+    _emit(args, rows, dim_list=dims, priors=prior_specs)
     return EXIT_OK
 
 
@@ -335,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prior",
         action="append",
-        default=None,
+        dest="priors",
         help="prior spec (repeatable): uniform | point:<phi> | twopoint:<phi1>,<phi2> | "
         "vonmises:<kappa> | grid:<path>",
     )
@@ -347,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prior",
         action="append",
-        default=None,
+        dest="priors",
         help="shift-prior spec (repeatable); numeric parameters are lattice shifts",
     )
     p.set_defaults(func=cmd_way_demo)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityMatrix
+from .twirl import _check_prior_weights, read_prior_rows, read_prior_spec, von_mises_prior
 
 __all__ = [
     "QuditPairState",
@@ -22,6 +23,7 @@ __all__ = [
     "product_pair",
     "reduced_relative",
     "relative_pair",
+    "shift_prior",
     "sum_gate",
     "to_relative_basis",
     "twirl_displacement",
@@ -108,25 +110,38 @@ def displace(state: QuditPairState, shift: int) -> QuditPairState:
     return QuditPairState(moved, view=state.view)
 
 
-def _check_shift_prior(weights, d: int) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (d,):
-        raise ValueError(f"shift prior must have {d} weights, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("shift prior weights must be finite")
-    if np.any(weights < 0):
-        raise ValueError("shift prior weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"shift prior weights must sum to 1, got {weights.sum()!r}")
-    return weights
+def shift_prior(spec: str, d: int) -> np.ndarray:
+    """Shift weights over Z_d from the shared prior syntax (``read_prior_spec``).
+
+    Numeric parameters are lattice shifts, taken as int(X) mod d; weights of
+    equal shifts add.  ``vonmises:<kappa>`` weights exp(kappa cos(2 pi X / d))
+    and ``grid:<path>`` reads ``shift,weight`` rows.
+    """
+
+    def shifts(*pairs) -> np.ndarray:
+        weights = np.zeros(d)
+        for shift, weight in pairs:
+            if not np.isfinite(shift):
+                raise ValueError(f"lattice shift must be finite, got {shift!r}")
+            weights[int(shift) % d] += weight
+        return weights
+
+    return read_prior_spec(
+        spec,
+        "shift",
+        uniform=lambda: np.full(d, 1.0 / d),
+        point=lambda x: shifts((x, 1.0)),
+        two_point=lambda x1, x2: shifts((x1, 0.5), (x2, 0.5)),
+        von_mises=lambda kappa: von_mises_prior(kappa, n_points=d).weights,
+        grid=lambda path: shifts(*read_prior_rows(path, "shift")),
+    )
 
 
 def twirl_displacement(state: QuditPairState, prior) -> DensityMatrix:
     """sum_X P(X) D(X)|psi><psi|D(X)^dag, indexed in the relative basis
     (flat index x_r * d + x_a)."""
-    weights = _check_shift_prior(prior, state.d)
+    weights = _check_prior_weights(prior, "shift prior", state.d)
     rel = to_relative_basis(state) if state.view == PRODUCT else state
-    d = rel.d
     shifts = np.flatnonzero(weights)
     rotated = np.stack([np.roll(rel.amplitudes, 2 * int(s), axis=1).ravel() for s in shifts])
     rho = (rotated.T * weights[shifts]) @ rotated.conj()
@@ -152,7 +167,7 @@ def twirled_relative(state: QuditPairState, prior) -> DensityMatrix:
     where A holds the relative-view amplitudes A[x_r, x_a].  The prior is
     still validated.
     """
-    _check_shift_prior(prior, state.d)
+    _check_prior_weights(prior, "shift prior", state.d)
     rel = to_relative_basis(state) if state.view == PRODUCT else state
     amps = rel.amplitudes
     return DensityMatrix(amps @ amps.conj().T, basis="lattice_rel")

@@ -33,6 +33,7 @@ __all__ = [
     "point_prior",
     "random_commutant_observable",
     "read_prior_rows",
+    "read_prior_spec",
     "twirl_single_mode",
     "twirl_two_mode",
     "two_point_prior",
@@ -73,14 +74,26 @@ class PriorGrid:
             raise ValueError("prior needs matching nonempty angle and weight sequences")
         if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(weights))):
             raise ValueError("prior angles and weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("prior weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"prior weights must sum to 1, got {weights.sum()!r}")
+        _check_prior_weights(weights, "prior", angles.size)
         if angles[0] < 0 or angles[-1] >= TWO_PI:
             raise ValueError("prior angles must lie in [0, 2pi)")
         if angles.size > 1 and np.any(np.diff(angles) <= 0):
             raise ValueError("prior angles must be strictly increasing")
+
+
+def _check_prior_weights(weights, label: str, size: int) -> np.ndarray:
+    """Weights of a phase or shift prior: ``size`` of them, finite,
+    nonnegative, summing to 1 within 1e-12.  ``label`` names the prior."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (size,):
+        raise ValueError(f"{label} must have {size} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"{label} weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError(f"{label} weights must be nonnegative")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError(f"{label} weights must sum to 1, got {weights.sum()!r}")
+    return weights
 
 
 def _wrap(phi: float) -> float:
@@ -134,26 +147,43 @@ def grid_prior_from_csv(path) -> PriorGrid:
     return PriorGrid(angles=np.array([a for a, _ in rows]), weights=np.array([w for _, w in rows]))
 
 
-def parse_prior(spec: str):
-    """Parse the shared prior syntax: ``uniform``, ``point:<phi>``,
-    ``twopoint:<phi1>,<phi2>``, ``vonmises:<kappa>``, ``grid:<path>``."""
+def read_prior_spec(spec: str, value_name: str, *, uniform, point, two_point, von_mises, grid):
+    """Read the shared prior syntax, ``uniform``, ``point:<x>``,
+    ``twopoint:<x1>,<x2>``, ``vonmises:<kappa>`` or ``grid:<path>``, and
+    build the prior with the group's constructors: ``uniform()``,
+    ``point(x)``, ``two_point(x1, x2)``, ``von_mises(kappa)``, ``grid(path)``.
+    ``value_name`` ("angle" or "shift") names x in the messages."""
     name, _, arg = spec.partition(":")
     if name == "uniform":
         if arg:
             raise ValueError("uniform prior takes no parameter")
-        return UNIFORM
+        return uniform()
     if name == "point":
-        return point_prior(float(arg))
+        return point(float(arg))
     if name == "twopoint":
         parts = arg.split(",")
         if len(parts) != 2:
-            raise ValueError(f"twopoint prior needs two angles, got {arg!r}")
-        return two_point_prior(float(parts[0]), float(parts[1]))
+            raise ValueError(f"twopoint prior needs two {value_name}s, got {arg!r}")
+        return two_point(float(parts[0]), float(parts[1]))
     if name == "vonmises":
-        return von_mises_prior(float(arg))
+        return von_mises(float(arg))
     if name == "grid":
-        return grid_prior_from_csv(arg)
+        return grid(arg)
     raise ValueError(f"unknown prior spec {spec!r}")
+
+
+def parse_prior(spec: str):
+    """Phase prior from the shared prior syntax; numeric parameters are
+    angles in radians."""
+    return read_prior_spec(
+        spec,
+        "angle",
+        uniform=lambda: UNIFORM,
+        point=point_prior,
+        two_point=two_point_prior,
+        von_mises=von_mises_prior,
+        grid=grid_prior_from_csv,
+    )
 
 
 def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:

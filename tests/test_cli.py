@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import HAS_VMHWM, cli_peak_mb
+
 STRESS = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "oracle_stress.json").read_text()
 )["contraction_overlap_stress"]
@@ -157,6 +159,12 @@ class TestTwirlDemo:
         assert result.stdout == ""
         assert result.stderr.strip() == "relphase: --n-observables must be >= 0, got -1"
 
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
+    def test_observables_drawn_one_at_a_time(self, tmp_path):
+        # 41 dense 401 x 401 observables held at once peaked at 153 MB
+        args = ["twirl-demo", "--n-max", "400", "--n-observables", "40"]
+        assert cli_peak_mb(*args, "--out", str(tmp_path / "twirl.csv")) < 100
+
     def test_large_kappa_rows_finite(self):
         result = run_cli("twirl-demo", "--prior", "vonmises:1e4")
         assert result.returncode == 0
@@ -299,6 +307,43 @@ class TestPriorFiles:
         assert result.stderr.strip() == (
             f"relphase: prior file row must be '{name},weight', got '0,0.5,1'"
         )
+
+
+CONFIG_KEYS = {
+    "factorize-sweep": (
+        ["--alpha", "1", "--beta-list", "2"],
+        "alpha alpha_phase beta_list beta_phase command n1_max n2_max output seed",
+    ),
+    "contract-overlap": (["--z", "1", "--n-grid", "25"], "command n_grid output seed z z_phase"),
+    "twirl-demo": (
+        ["--n-max", "4"],
+        "alpha alpha_phase command n_max n_observables output priors seed",
+    ),
+    "way-demo": (["--dim-list", "3"], "command dim_list output priors seed"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_config_keys(tmp_path, command, to_file):
+    args, keys = CONFIG_KEYS[command]
+    path = tmp_path / "table.csv"
+    result = run_cli(command, *args, *(["--out", str(path)] if to_file else []))
+    assert result.returncode == 0, result.stderr
+    config, _, _ = parse_csv(path.read_text() if to_file else result.stdout)
+    assert sorted(config) == keys.split()
+    assert config["command"] == command
+
+
+def test_config_echoes_resolved_values():
+    result = run_cli("factorize-sweep", "--alpha", "1", "--beta-list", "2,4")
+    config, _, _ = parse_csv(result.stdout)
+    assert (config["beta_list"], config["n1_max"], config["n2_max"]) == ([2.0, 4.0], None, None)
+    config, _, _ = parse_csv(run_cli("way-demo", "--dim-list", "3,5").stdout)
+    assert config["dim_list"] == [3, 5]
+    assert config["priors"] == ["uniform", "point:1", "twopoint:0,2", "vonmises:4.0"]
+    config, _, rows = parse_csv(run_cli("twirl-demo", "--alpha", "1").stdout)
+    assert config["n_max"] > 0 and len(rows) == 4 * 5
 
 
 class TestOutputContract:

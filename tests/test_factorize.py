@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from relphase import (
     SizeLimitError,
     approx_product,
     approx_product_balanced,
-    coherent_vector,
     default_cutoff,
     embed_wh,
     factorization_fidelity,
@@ -30,7 +26,7 @@ from relphase import (
 from relphase.blocks import MAX_GRID_ENTRIES
 from relphase.factorize import _product_grid
 
-from conftest import FIXTURES
+from conftest import FIXTURES, HAS_VMHWM, cli_peak_mb
 
 
 def loop_product_grid(nhat, collective_phase, z, n1_max, n2_max):
@@ -374,27 +370,11 @@ class TestStressOracle:
         for name in ("pure_fidelity", "twirled_hs_distance", "relative_state_overlap"):
             assert getattr(report, name) == pytest.approx(case[name], abs=1e-9)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
     def test_sweep_memory_is_linear_in_the_grid(self, tmp_path):
         # The grid is 22 x 11011 (3.9 MB); a BlockState of it held 2.15 GB.
-        # VmHWM is the peak of the process's own address space after exec;
-        # ru_maxrss would also count the parent's pages shared before exec.
-        script = (
-            "import re, sys\n"
-            "from relphase.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
-            "sys.exit(code)\n"
-        )
         args = ["factorize-sweep", "--alpha", "1", "--beta-list", "100"]
-        result = subprocess.run(
-            [sys.executable, "-c", script, *args, "--out", str(tmp_path / "sweep.csv")],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert int(result.stdout) * 1024 / 1e6 < 100  # kB here means KiB
+        assert cli_peak_mb(*args, "--out", str(tmp_path / "sweep.csv")) < 100
 
 
 class TestInputLimits:

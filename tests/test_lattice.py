@@ -7,14 +7,17 @@ from relphase import (
     fidelity_pure_mixed,
     from_relative_basis,
     momentum_eigenstate,
+    parse_prior,
     product_pair,
     purity,
     reduced_relative,
     relative_pair,
+    shift_prior,
     sum_gate,
     to_relative_basis,
     twirl_displacement,
     twirled_relative,
+    von_mises_prior,
 )
 
 from conftest import random_state_vector
@@ -269,6 +272,50 @@ class TestTwirledRelative:
             twirled_relative(state, np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
         with pytest.raises(ValueError, match="finite"):
             twirl_displacement(state, np.array([np.inf, 0.0, 0.0, 0.0, 0.0]))
+
+
+class TestShiftPrior:
+    def test_uniform(self):
+        assert np.array_equal(shift_prior("uniform", 7), np.full(7, 1.0 / 7))
+
+    def test_point_shift_truncates_then_wraps(self):
+        # int(-1.5) = -1, which is shift 4 mod 5
+        assert np.array_equal(shift_prior("point:-1.5", 5), np.eye(5)[4])
+
+    def test_two_point_weights_of_equal_shifts_add(self):
+        assert np.array_equal(shift_prior("twopoint:0,5", 5), np.eye(5)[0])
+        assert np.array_equal(shift_prior("twopoint:1,3", 5), [0.0, 0.5, 0.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("kappa", [4.0, -3.0, 0.0, 1e4])
+    @pytest.mark.parametrize("d", [3, 5, 31])
+    def test_von_mises_is_the_phase_prior_on_d_angles(self, kappa, d):
+        expected = von_mises_prior(kappa, n_points=d).weights
+        assert np.array_equal(shift_prior(f"vonmises:{kappa!r}", d), expected)
+
+    def test_grid_rows_accumulate(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text("# shift,weight\n0,0.25\n\n5,0.25\n-3,0.5\n")
+        assert np.array_equal(shift_prior(f"grid:{path}", 5), [0.5, 0.0, 0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("spec", ["point:inf", "point:-inf", "twopoint:0,nan"])
+    def test_non_finite_shift_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            shift_prior(spec, 5)
+
+    def test_non_finite_grid_shift_rejected(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text("inf,1\n")
+        with pytest.raises(ValueError, match="finite"):
+            shift_prior(f"grid:{path}", 5)
+
+
+@pytest.mark.parametrize("spec", ["uniform:3", "gaussian:1", "twopoint:1"])
+def test_phase_and_shift_priors_share_one_grammar(spec):
+    with pytest.raises(ValueError) as phase:
+        parse_prior(spec)
+    with pytest.raises(ValueError) as shift:
+        shift_prior(spec, 5)
+    assert str(shift.value) == str(phase.value).replace("angles", "shifts")
 
 
 class TestSumGate:

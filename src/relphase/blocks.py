@@ -18,6 +18,7 @@ __all__ = [
     "BlockState",
     "MAX_GRID_ENTRIES",
     "block_dim",
+    "block_index",
     "block_offset",
     "check_grid_size",
     "default_cutoff",
@@ -93,6 +94,12 @@ def block_dim(n_top: int) -> int:
     return (n_top + 1) * (n_top + 2) // 2
 
 
+def block_index(shape) -> np.ndarray:
+    """Flat block index block_offset(N) + n1 of every entry of an (n1, n2)
+    grid of the given shape, with blocks concatenated in N order."""
+    return block_offset(total_number(shape)) + np.arange(shape[0])[:, None]
+
+
 @dataclass(frozen=True)
 class BlockState:
     """Direct-sum form {c_N (x) v_N} of a two-mode state.
@@ -125,17 +132,13 @@ def to_blocks(state: np.ndarray) -> BlockState:
     (n1, n2) fall outside the grid are zero.  The reindexing is an isometry.
     """
     state = np.asarray(state, dtype=complex)
-    if state.ndim != 2:
-        raise ValueError(f"expected a 2-D amplitude grid, got shape {state.shape}")
-    n1_max = state.shape[0] - 1
-    n2_max = state.shape[1] - 1
-    n_top = n1_max + n2_max
+    index = block_index(state.shape)
+    n_top = sum(state.shape) - 2
+    flat = np.zeros(block_dim(n_top), dtype=complex)
+    flat[index] = state
     weights = np.zeros(n_top + 1, dtype=complex)
     vectors = []
-    for big_n in range(n_top + 1):
-        raw = np.zeros(big_n + 1, dtype=complex)
-        ks = np.arange(max(0, big_n - n2_max), min(big_n, n1_max) + 1)
-        raw[ks] = state[ks, big_n - ks]
+    for big_n, raw in enumerate(np.split(flat, block_offset(np.arange(1, n_top + 1)))):
         mag = np.linalg.norm(raw)
         if mag == 0.0:
             vectors.append(raw)
@@ -154,12 +157,11 @@ def from_blocks(blocks: BlockState, n1_max: int, n2_max: int):
     Returns ``(grid, dropped)`` where ``dropped`` counts nonzero amplitudes
     that fell outside the target bounds and were discarded.
     """
-    grid = np.zeros((n1_max + 1, n2_max + 1), dtype=complex)
-    dropped = 0
-    for big_n, (weight, vec) in enumerate(zip(blocks.weights, blocks.vectors)):
-        amps = weight * vec
-        ks = np.arange(big_n + 1)
-        inside = (ks <= n1_max) & (big_n - ks <= n2_max)
-        grid[ks[inside], big_n - ks[inside]] = amps[inside]
-        dropped += int(np.count_nonzero(amps[~inside]))
-    return grid, dropped
+    if min(n1_max, n2_max) < 0:
+        raise ValueError(f"target cutoffs must be >= 0, got ({n1_max}, {n2_max})")
+    flat = blocks.flatten()
+    index = block_index((n1_max + 1, n2_max + 1))
+    inside = index < flat.size  # entries with N above the blocks' n_max stay zero
+    grid = np.zeros(index.shape, dtype=complex)
+    grid[inside] = flat[index[inside]]
+    return grid, np.count_nonzero(flat) - np.count_nonzero(grid)

@@ -185,23 +185,25 @@ def _way_scenarios(d: int, rng) -> dict:
 
 def cmd_way_demo(args) -> int:
     dims = [_require_odd(d) for d in _list(args.dim_list, int, "integers")]
+    for d in dims:
+        check_grid_size(d - 1, d - 1)  # the pair amplitudes are a d x d grid
     prior_specs = args.priors or list(DEFAULT_WAY_PRIORS)
     rows = []
     rng = np.random.default_rng(args.seed)
     for d in dims:
         priors = [(spec, shift_prior(spec, d)) for spec in prior_specs]
         for scenario, state in _way_scenarios(d, rng).items():
-            input_rel = twirled_relative(state, np.eye(d)[0])  # point prior at X = 0: the input
             for spec, prior in priors:
-                rho_rel = twirled_relative(state, prior)
-                overlap = float(np.sum(input_rel.matrix * rho_rel.matrix.T).real)
+                # rho_rel is the same under every prior, the point prior at
+                # X = 0 included, so its overlap with the input's is its purity
+                relative_purity = float(purity(twirled_relative(state, prior)))
                 rows.append(
                     {
                         "d": int(d),
                         "scenario": scenario,
                         "prior": spec,
-                        "relative_purity": float(purity(rho_rel)),
-                        "relative_fidelity_to_input": overlap,
+                        "relative_purity": relative_purity,
+                        "relative_fidelity_to_input": relative_purity,
                     }
                 )
     _emit(args, rows, dim_list=dims, priors=prior_specs)

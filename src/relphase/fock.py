@@ -117,18 +117,14 @@ class DensityMatrix:
     """Hermitian matrix plus a tag naming its index convention.
 
     ``basis`` is one of ``"fock"`` (photon number n), ``"block"`` (total
-    photon number N major, difference index k minor), ``"lattice_pair"``
-    (cyclic pair coordinates x_r * d + x_a) or ``"lattice_rel"`` (relative
-    coordinate only).  Hermiticity, unit trace and positivity are contracts
-    verified by the test suite, not on every construction.
+    photon number N major, difference index k minor) or ``"lattice_rel"``
+    (relative lattice coordinate x_r).  Hermiticity, unit trace and
+    positivity are contracts verified by the test suite, not on every
+    construction.
     """
 
     matrix: np.ndarray
     basis: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:

@@ -9,6 +9,7 @@ moves x_a by 2X.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .fock import DensityMatrix
 from .twirl import _check_prior_weights, read_prior_rows, read_prior_spec, von_mises_prior
 
 __all__ = [
+    "PairTwirl",
     "QuditPairState",
     "displace",
     "from_relative_basis",
@@ -137,40 +139,50 @@ def shift_prior(spec: str, d: int) -> np.ndarray:
     )
 
 
-def twirl_displacement(state: QuditPairState, prior) -> DensityMatrix:
-    """sum_X P(X) D(X)|psi><psi|D(X)^dag, indexed in the relative basis
-    (flat index x_r * d + x_a)."""
+@dataclass(frozen=True)
+class PairTwirl:
+    """sum_X P(X) D(X)|psi><psi|D(X)^dag over the pair lattice, held as the
+    relative-view amplitudes A[x_r, x_a] and the shift weights P(X).
+
+    ``matrix`` is the d^2 x d^2 density matrix in the relative basis (flat
+    index x_r * d + x_a), built on first read and kept.
+    """
+
+    amplitudes: np.ndarray
+    weights: np.ndarray
+    basis = "lattice_pair"  # a class constant, not a field
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        shifts = np.flatnonzero(self.weights)
+        rotated = np.stack([np.roll(self.amplitudes, 2 * int(s), axis=1).ravel() for s in shifts])
+        return (rotated.T * self.weights[shifts]) @ rotated.conj()
+
+
+def twirl_displacement(state: QuditPairState, prior) -> PairTwirl:
+    """sum_X P(X) D(X)|psi><psi|D(X)^dag for shift weights P over Z_d.  The
+    prior is validated here; no d^2 x d^2 array is built until ``matrix`` is
+    read."""
     weights = _check_prior_weights(prior, "shift prior", state.d)
     rel = to_relative_basis(state) if state.view == PRODUCT else state
-    shifts = np.flatnonzero(weights)
-    rotated = np.stack([np.roll(rel.amplitudes, 2 * int(s), axis=1).ravel() for s in shifts])
-    rho = (rotated.T * weights[shifts]) @ rotated.conj()
-    return DensityMatrix(rho, basis="lattice_pair")
+    return PairTwirl(rel.amplitudes, weights)
 
 
-def reduced_relative(rho: DensityMatrix) -> DensityMatrix:
-    """Partial trace over the collective register x_a."""
-    if rho.basis != "lattice_pair":
+def reduced_relative(rho: PairTwirl) -> DensityMatrix:
+    """Partial trace over the collective register x_a.
+
+    D(X) moves only x_a, so the trace leaves A A^dag under every prior,
+    where A holds the relative-view amplitudes A[x_r, x_a].
+    """
+    if not isinstance(rho, PairTwirl):
         raise ValueError(f"expected a lattice_pair density matrix, got {rho.basis!r}")
-    d = int(round(np.sqrt(rho.dim)))
-    if d * d != rho.dim:
-        raise ValueError(f"pair dimension {rho.dim} is not a perfect square")
-    reshaped = rho.matrix.reshape(d, d, d, d)
-    return DensityMatrix(np.einsum("iaja->ij", reshaped), basis="lattice_rel")
+    amps = rho.amplitudes
+    return DensityMatrix(amps @ amps.conj().T, basis="lattice_rel")
 
 
 def twirled_relative(state: QuditPairState, prior) -> DensityMatrix:
-    """reduced_relative(twirl_displacement(state, prior)) without the
-    d^2 x d^2 matrix.
-
-    D(X) moves only x_a, so tracing x_a out leaves A A^dag for every prior,
-    where A holds the relative-view amplitudes A[x_r, x_a].  The prior is
-    still validated.
-    """
-    _check_prior_weights(prior, "shift prior", state.d)
-    rel = to_relative_basis(state) if state.view == PRODUCT else state
-    amps = rel.amplitudes
-    return DensityMatrix(amps @ amps.conj().T, basis="lattice_rel")
+    """reduced_relative(twirl_displacement(state, prior))."""
+    return reduced_relative(twirl_displacement(state, prior))
 
 
 def sum_gate(state: QuditPairState) -> QuditPairState:

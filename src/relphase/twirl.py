@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .blocks import block_dim, block_offset, total_number
+from .blocks import block_dim, block_index, block_offset
 from .fock import DensityMatrix
 
 __all__ = [
@@ -113,14 +113,14 @@ def two_point_prior(phi1: float, phi2: float) -> PriorGrid:
     return PriorGrid(angles=angles, weights=np.array([0.5, 0.5]))
 
 
-def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION, center: float = 0.0) -> PriorGrid:
-    """Concentrated prior with weights proportional to exp(kappa cos(phi - center))
+def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION) -> PriorGrid:
+    """Concentrated prior with weights proportional to exp(kappa cos(phi))
     on n_points equally spaced angles.  The exponent is shifted by its
     maximum, so no finite kappa can overflow or underflow every weight."""
     if not np.isfinite(kappa):
         raise ValueError(f"von Mises kappa must be finite, got {kappa!r}")
     angles = TWO_PI * np.arange(n_points) / n_points
-    exponent = kappa * np.cos(angles - center)
+    exponent = kappa * np.cos(angles)
     weights = np.exp(exponent - exponent.max())
     return PriorGrid(angles=angles, weights=weights / weights.sum())
 
@@ -210,13 +210,12 @@ def twirl_single_mode(psi: np.ndarray, prior) -> DensityMatrix:
 def twirl_two_mode(state: np.ndarray, prior) -> DensityMatrix:
     """Two-mode twirl in the block basis: the phase multiplies both modes,
     acting as e^{-i phi N} on each total-photon-number block, so the charge
-    label is N.  Within-block structure is untouched by any prior.  Grid
-    entry (n1, n2) lands at flat block index block_offset(N) + n1."""
+    label is N.  Within-block structure is untouched by any prior."""
     state = np.asarray(state, dtype=complex)
-    big_n = total_number(state.shape)
+    index = block_index(state.shape)
     n_top = sum(state.shape) - 2
     psi = np.zeros(block_dim(n_top), dtype=complex)
-    psi[block_offset(big_n) + np.arange(state.shape[0])[:, None]] = state
+    psi[index] = state
     labels = np.repeat(np.arange(n_top + 1), np.arange(1, n_top + 2))
     return DensityMatrix(_twirl(psi, labels, prior), basis="block")
 

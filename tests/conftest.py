@@ -36,19 +36,22 @@ def random_density_matrix(rng, dim):
     return rho / np.trace(rho).real
 
 
-def cli_peak_mb(*args) -> float:
-    """Peak resident memory in MB of one CLI run in a fresh interpreter.
+# the snippet that peak_mb runs for one CLI call with its arguments
+RUN_CLI = "from relphase.cli import main\nassert main(sys.argv[1:]) == 0\n"
+
+
+def peak_mb(code: str, *args) -> float:
+    """Peak resident memory in MB of a code snippet run in a fresh
+    interpreter, with ``args`` as ``sys.argv[1:]``.
 
     VmHWM is the peak of the process's own address space after exec;
     ru_maxrss would also count the parent's pages shared before exec.
     """
     script = (
         "import re, sys\n"
-        "from relphase.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "status = open('/proc/self/status').read()\n"
+        + code
+        + "status = open('/proc/self/status').read()\n"
         "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
-        "sys.exit(code)\n"
     )
     result = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

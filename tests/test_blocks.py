@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import (
     coherent_vector,
@@ -146,6 +148,11 @@ class TestFromBlocks:
         _, dropped = from_blocks(to_blocks(grid), 2, 2)
         assert dropped == 1
 
+    @pytest.mark.parametrize("target", [(-1, 3), (3, -2)])
+    def test_negative_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target cutoffs must be >= 0"):
+            from_blocks(to_blocks(np.eye(3, dtype=complex)), *target)
+
     def test_round_trip_corner_state(self):
         # single amplitude at the grid corner exercises the truncated-block
         # index ranges on both directions
@@ -154,3 +161,56 @@ class TestFromBlocks:
         back, dropped = from_blocks(to_blocks(grid), 4, 7)
         assert dropped == 0
         assert np.max(np.abs(back - grid)) < 1e-15
+
+
+def loop_block_vectors(grid) -> list:
+    """The raw block vectors of a grid, one N at a time: the reference for
+    the flat-index scatter of ``to_blocks``."""
+    n1_max, n2_max = grid.shape[0] - 1, grid.shape[1] - 1
+    raws = []
+    for big_n in range(n1_max + n2_max + 1):
+        raw = np.zeros(big_n + 1, dtype=complex)
+        ks = np.arange(max(0, big_n - n2_max), min(big_n, n1_max) + 1)
+        raw[ks] = grid[ks, big_n - ks]
+        raws.append(raw)
+    return raws
+
+
+def loop_from_blocks(blocks, n1_max, n2_max):
+    """``from_blocks`` one N at a time: the reference for the flat gather."""
+    grid = np.zeros((n1_max + 1, n2_max + 1), dtype=complex)
+    dropped = 0
+    for big_n, (weight, vec) in enumerate(zip(blocks.weights, blocks.vectors)):
+        amps = weight * vec
+        ks = np.arange(big_n + 1)
+        inside = (ks <= n1_max) & (big_n - ks <= n2_max)
+        grid[ks[inside], big_n - ks[inside]] = amps[inside]
+        dropped += int(np.count_nonzero(amps[~inside]))
+    return grid, dropped
+
+
+class TestBlockReindexingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        target=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        zero_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_isometry_and_inverse(self, shape, target, zero_fraction, seed):
+        rng = np.random.default_rng(seed)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid[rng.uniform(size=shape) < zero_fraction] = 0.0
+        blocks = to_blocks(grid)
+        for raw, weight, vec in zip(loop_block_vectors(grid), blocks.weights, blocks.vectors):
+            assert np.max(np.abs(weight * vec - raw), initial=0.0) <= 1e-14 * np.linalg.norm(grid)
+        assert blocks.norm() == pytest.approx(np.linalg.norm(grid), rel=1e-14, abs=1e-300)
+        back, dropped = from_blocks(blocks, shape[0] - 1, shape[1] - 1)
+        assert dropped == 0
+        assert np.max(np.abs(back - grid)) <= 1e-14 * np.linalg.norm(grid)
+        n1_max = max(shape[0] - 1 + target[0], 0)
+        n2_max = max(shape[1] - 1 + target[1], 0)
+        got, got_dropped = from_blocks(blocks, n1_max, n2_max)
+        want, want_dropped = loop_from_blocks(blocks, n1_max, n2_max)
+        assert np.array_equal(got, want)
+        assert got_dropped == want_dropped

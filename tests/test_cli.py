@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import HAS_VMHWM, cli_peak_mb
+from conftest import HAS_VMHWM, RUN_CLI, peak_mb
 
 STRESS = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "oracle_stress.json").read_text()
@@ -163,7 +163,7 @@ class TestTwirlDemo:
     def test_observables_drawn_one_at_a_time(self, tmp_path):
         # 41 dense 401 x 401 observables held at once peaked at 153 MB
         args = ["twirl-demo", "--n-max", "400", "--n-observables", "40"]
-        assert cli_peak_mb(*args, "--out", str(tmp_path / "twirl.csv")) < 100
+        assert peak_mb(RUN_CLI, *args, "--out", str(tmp_path / "twirl.csv")) < 100
 
     def test_large_kappa_rows_finite(self):
         result = run_cli("twirl-demo", "--prior", "vonmises:1e4")
@@ -233,8 +233,20 @@ def test_bad_magnitude_is_config_error(args):
         # a (n_max+1)^2 dense twirl at n_max of about 1e12
         ("twirl-demo", "--alpha", "1e6"),
         ("twirl-demo", "--n-max", "2896"),
+        # a 2897 x 2897 pair grid, just above the limit; 99999 was a numpy
+        # memory-error traceback after the d = 3 rows were computed
+        ("way-demo", "--dim-list", "2897"),
+        ("way-demo", "--dim-list", "3,99999"),
     ],
-    ids=["grid", "cutoff-overflow", "spin-size", "twirl-alpha", "twirl-n-max"],
+    ids=[
+        "grid",
+        "cutoff-overflow",
+        "spin-size",
+        "twirl-alpha",
+        "twirl-n-max",
+        "way-d",
+        "way-d-list",
+    ],
 )
 def test_oversize_request_refused_with_exit_3(args):
     result = run_cli(*args)

@@ -26,7 +26,7 @@ from relphase import (
 from relphase.blocks import MAX_GRID_ENTRIES
 from relphase.factorize import _product_grid
 
-from conftest import FIXTURES, HAS_VMHWM, cli_peak_mb
+from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, peak_mb
 
 
 def loop_product_grid(nhat, collective_phase, z, n1_max, n2_max):
@@ -374,7 +374,7 @@ class TestStressOracle:
     def test_sweep_memory_is_linear_in_the_grid(self, tmp_path):
         # The grid is 22 x 11011 (3.9 MB); a BlockState of it held 2.15 GB.
         args = ["factorize-sweep", "--alpha", "1", "--beta-list", "100"]
-        assert cli_peak_mb(*args, "--out", str(tmp_path / "sweep.csv")) < 100
+        assert peak_mb(RUN_CLI, *args, "--out", str(tmp_path / "sweep.csv")) < 100
 
 
 class TestInputLimits:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relphase import (
     QuditPairState,
@@ -20,7 +22,7 @@ from relphase import (
     von_mises_prior,
 )
 
-from conftest import random_state_vector
+from conftest import HAS_VMHWM, peak_mb, random_state_vector
 
 
 def random_pair(rng, d, view="relative"):
@@ -244,6 +246,46 @@ class TestReducedRelative:
 
         with pytest.raises(ValueError, match="lattice_pair"):
             reduced_relative(DensityMatrix(np.eye(25, dtype=complex) / 25, basis="fock"))
+
+
+def einsum_reduced_relative(rho) -> np.ndarray:
+    """The partial trace over x_a of the dense d^2 x d^2 pair matrix: the
+    reference for the reduced state read off the amplitudes."""
+    d = rho.amplitudes.shape[0]
+    return np.einsum("iaja->ij", rho.matrix.reshape(d, d, d, d))
+
+
+class TestReducedRelativeFromAmplitudes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([3, 5, 7, 9, 11, 15, 21, 31]),
+        view=st.sampled_from(["product", "relative"]),
+        seed=st.integers(0, 2**32 - 1),
+        support=st.floats(0.0, 1.0),
+    )
+    def test_matches_trace_of_dense_matrix(self, d, view, seed, support):
+        rng = np.random.default_rng(seed)
+        prior = rng.uniform(0.0, 1.0, d) * (rng.uniform(0.0, 1.0, d) < support)
+        prior[rng.integers(d)] += 1.0
+        prior /= prior.sum()
+        rho = twirl_displacement(random_pair(rng, d, view=view), prior)
+        reduced = reduced_relative(rho)
+        assert reduced.basis == "lattice_rel"
+        assert np.max(np.abs(reduced.matrix - einsum_reduced_relative(rho))) <= 1e-13
+
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
+    def test_no_pair_matrix_built(self):
+        # the dense d^2 x d^2 twirl and its stack of shifted copies took
+        # about 1.7 GB
+        code = (
+            "import numpy as np\n"
+            "from relphase import QuditPairState, reduced_relative, shift_prior\n"
+            "from relphase import twirl_displacement\n"
+            "d = 101\n"
+            "state = QuditPairState(np.eye(d, dtype=complex) / np.sqrt(d), view='relative')\n"
+            "reduced_relative(twirl_displacement(state, shift_prior('vonmises:4', d)))\n"
+        )
+        assert peak_mb(code) < 100
 
 
 class TestTwirledRelative:

@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of relphase at the sizes of the Baseline table
+in ROADMAP.md, one case per fresh interpreter.
+
+    python3 tools/bench.py > BENCH_<n>.json
+
+Every case runs in a child ``python -c`` that imports relphase from the
+``src/`` next to this file and reads its own peak resident memory from
+VmHWM in ``/proc/self/status``, so it needs Linux.  ``ru_maxrss`` is not
+used: a child started by ``subprocess`` inherits the parent's high-water
+mark.  A library case times the call alone, after the imports and the input
+state are built; a process case (the CLI runs, ``python -c pass`` and the
+test suite) is timed from here, interpreter start included.  The cases run
+one after another, so no two children hold memory at once.
+
+The output is a JSON list of rows ``{case, size, wall_s, peak_rss_mb,
+numpy, python}``; progress goes to stderr.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs in the child: ``setup`` untimed, then ``timed``, then the last stdout
+# line reports the wall time of ``timed``, VmHWM in kB (KiB) and ``size``, if
+# the case sets it.
+CHILD = """\
+import json, re, time
+size = None
+{setup}
+start = time.perf_counter()
+{timed}
+wall_s = time.perf_counter() - start
+status = open("/proc/self/status").read()
+peak_kb = int(re.search(r"VmHWM:\\s+(\\d+) kB", status).group(1))
+print(json.dumps([wall_s, peak_kb, size]))
+"""
+
+VON_MISES = "from relphase import parse_prior\nprior = parse_prior('vonmises:4')"
+
+PAIR = """\
+import numpy as np
+from relphase import QuditPairState, reduced_relative, shift_prior
+from relphase import twirl_displacement, twirled_relative
+d = {d}
+rng = np.random.default_rng(0)
+grid = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+state = QuditPairState(grid / np.linalg.norm(grid), view="relative")
+prior = shift_prior("vonmises:4", d)"""
+
+TWO_MODE = """\
+import numpy as np
+from relphase import default_cutoff, twirl_two_mode, two_mode_coherent
+n_max = default_cutoff({alpha})
+state = two_mode_coherent({alpha}, {alpha}, n_max, n_max)
+state = state / np.linalg.norm(state)
+""" + VON_MISES
+
+SINGLE_MODE = """\
+import numpy as np
+from relphase import coherent_vector, twirl_single_mode
+psi = coherent_vector(1.0, {n})
+psi = psi / np.linalg.norm(psi)
+""" + VON_MISES
+
+SUITE = """\
+import pytest
+
+class Count:
+    def pytest_collection_finish(self, session):
+        self.tests = len(session.items)
+
+count = Count()
+assert pytest.main(["-q", "-p", "no:cacheprovider", "tests"], plugins=[count]) == 0
+size = f"{count.tests} tests"
+"""
+
+
+def call(case, size, setup, timed):
+    return {"case": case, "size": size, "setup": setup, "timed": timed, "process": False}
+
+
+def process(case, size, code):
+    return {"case": case, "size": size, "setup": "", "timed": code, "process": True}
+
+
+def cli(*argv):
+    argv = [*argv, "--out", os.devnull]
+    return f"from relphase.cli import main\nassert main({argv!r}) == 0"
+
+
+CASES = [
+    process("tier-1 suite", "tests/", SUITE),
+    process("python -c pass", "-", "pass"),
+    process(
+        "CLI contract-overlap", "1 point", cli("contract-overlap", "--z", "1", "--n-grid", "25")
+    ),
+    *(
+        call(
+            "factorization_fidelity(1, b)",
+            f"b = {b}",
+            "from relphase import factorization_fidelity",
+            f"factorization_fidelity(1, {b})",
+        )
+        for b in (32, 64, 100)
+    ),
+    *(
+        call(
+            "twirl_two_mode, vonmises:4",
+            f"alpha = {alpha}",
+            TWO_MODE.format(alpha=alpha),
+            "twirl_two_mode(state, prior)",
+        )
+        for alpha in (1, 2, 3)
+    ),
+    call(
+        "twirl_single_mode, vonmises:4",
+        "n = 2000",
+        SINGLE_MODE.format(n=2000),
+        "twirl_single_mode(psi, prior)",
+    ),
+    *(
+        call(
+            "reduced_relative(twirl_displacement(...)), vonmises:4",
+            f"d = {d}",
+            PAIR.format(d=d),
+            "reduced_relative(twirl_displacement(state, prior))",
+        )
+        for d in (31, 61, 101)
+    ),
+    call("twirled_relative", "d = 101", PAIR.format(d=101), "twirled_relative(state, prior)"),
+    call(
+        "contraction_overlap(2, N)",
+        "N = 10^6",
+        "from relphase import contraction_overlap",
+        "contraction_overlap(2, 10**6)",
+    ),
+    process(
+        "CLI twirl-demo --n-max 2895 --n-observables 1 --prior uniform",
+        "at the grid limit",
+        cli("twirl-demo", "--n-max", "2895", "--n-observables", "1", "--prior", "uniform"),
+    ),
+    process("CLI way-demo --dim-list 1001", "d = 1001", cli("way-demo", "--dim-list", "1001")),
+]
+
+
+def run(case, versions) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = CHILD.format(setup=case["setup"], timed=case["timed"])
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    elapsed = time.perf_counter() - start
+    if result.returncode != 0:
+        raise SystemExit(f"bench: {case['case']} ({case['size']}) failed:\n{result.stderr}")
+    wall_s, peak_kb, size = json.loads(result.stdout.splitlines()[-1])
+    return {
+        "case": case["case"],
+        "size": size or case["size"],
+        "wall_s": elapsed if case["process"] else wall_s,
+        "peak_rss_mb": peak_kb * 1024 / 1e6,
+        **versions,
+    }
+
+
+def main():
+    versions = {"numpy": version("numpy"), "python": platform.python_version()}
+    rows = []
+    for case in CASES:
+        print(f"bench: {case['case']} ({case['size']})", file=sys.stderr)
+        rows.append(run(case, versions))
+    print("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]")
+
+
+if __name__ == "__main__":
+    main()

@@ -54,10 +54,10 @@ def default_cutoff(mag: float) -> int:
 def check_grid_size(n1_max: int, n2_max: int):
     """Raise SizeLimitError if an (n1_max+1) x (n2_max+1) grid exceeds
     MAX_GRID_ENTRIES, before anything of that size is allocated."""
-    entries = (n1_max + 1) * (n2_max + 1)
-    if entries > MAX_GRID_ENTRIES:
+    rows, cols = n1_max + 1, n2_max + 1
+    if rows * cols > MAX_GRID_ENTRIES:
         raise SizeLimitError(
-            f"cutoffs ({n1_max}, {n2_max}) need a grid of {entries} entries, "
+            f"a {rows} x {cols} grid has {rows * cols} entries, "
             f"above the limit of {MAX_GRID_ENTRIES}"
         )
 

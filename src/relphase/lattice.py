@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blocks import check_grid_size
 from .fock import DensityMatrix
 from .twirl import _check_prior_weights, read_prior_rows, read_prior_spec, von_mises_prior
 
@@ -37,8 +38,11 @@ RELATIVE = "relative"
 
 
 def _require_odd(d: int) -> int:
+    """d itself, if it is an odd lattice dimension >= 3 whose d x d pair
+    grid is within the grid size limit."""
     if d % 2 == 0 or d < 3:
         raise ValueError(f"lattice dimension must be odd and >= 3, got {d}")
+    check_grid_size(d - 1, d - 1)
     return d
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SizeLimitError, log_factorial, log_falling_ratio
+from .fock import SizeLimitError, _clamp_unit, log_factorial, log_falling_ratio
 
 __all__ = [
     "MAX_SPIN_N",
@@ -159,4 +159,4 @@ def contraction_overlap(z: complex, big_n: int) -> float:
         return 1.0
     log_s = _log_spin_profile(big_n, float(abs(z)), k)
     cross = np.sum(np.exp(log_w + log_s))
-    return min(float(cross * cross / np.sum(np.exp(2.0 * log_w))), 1.0)
+    return _clamp_unit(float(cross * cross / np.sum(np.exp(2.0 * log_w))))

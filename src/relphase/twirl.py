@@ -9,8 +9,11 @@ is a Schur product with the prior's characteristic function,
     rho_ij = psi_i psi_j^* chi(q_i - q_j),   chi(m) = sum_g w_g e^{-i phi_g m},
 
 and ``UNIFORM`` is chi(m) = delta(m), which zeroes every coherence between
-different charges exactly.  Observables that commute with the charge give
-the same expectation under every prior.
+different charges exactly.  chi(0) is stored as exactly 1, so every
+same-charge entry is the same float under every prior.  Observables are
+stored by their nonzero entries; one that commutes with the charge reads
+only same-charge entries, so its expectation is the same under every prior,
+bit for bit.
 """
 
 from dataclasses import dataclass
@@ -197,6 +200,7 @@ def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
         chi = (m == 0).astype(complex)
     else:
         chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
+    chi[span] = 1.0  # the total weight, 1 to 1e-12 (_check_prior_weights)
     return np.outer(psi, psi.conj()) * chi[labels[:, None] - labels[None, :] + span]
 
 
@@ -222,9 +226,14 @@ def twirl_two_mode(state: np.ndarray, prior) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian operator plus the index convention it is written in."""
+    """Hermitian operator on a ``dim``-dimensional space, stored by its
+    nonzero entries: ``values[i]`` sits at row ``index[0][i]``, column
+    ``index[1][i]`` (the ``(rows, cols)`` form of ``np.nonzero``), in the
+    index convention ``basis``."""
 
-    matrix: np.ndarray
+    index: tuple
+    values: np.ndarray
+    dim: int
     basis: str
 
 
@@ -233,22 +242,23 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
 
     ``"fock"`` gives a random real diagonal over n = 0..n_max; ``"block"``
     gives independent random Hermitian blocks over k = 0..N for each
-    N <= n_max.  Zero coherence between number sectors by construction.
+    N <= n_max, stored as the (N+1)^2 entries of each block in turn.  Zero
+    coherence between number sectors by construction.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     rng = default_rng(seed)
     if basis == "fock":
-        return Observable(np.diag(rng.standard_normal(n_max + 1)).astype(complex), basis)
+        diagonal = rng.standard_normal(n_max + 1)
+        return Observable(np.diag_indices(n_max + 1), diagonal, n_max + 1, basis)
     if basis == "block":
-        dim = block_dim(n_max)
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for big_n in range(n_max + 1):
-            size = big_n + 1
+        positions, values = [], []
+        for size in range(1, n_max + 2):
             raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            lo = block_offset(big_n)
-            matrix[lo : lo + size, lo : lo + size] = (raw + raw.conj().T) / 2.0
-        return Observable(matrix, basis)
+            positions.append(block_offset(size - 1) + np.indices((size, size)).reshape(2, -1))
+            values.append(((raw + raw.conj().T) / 2.0).ravel())
+        rows, cols = np.concatenate(positions, axis=1)
+        return Observable((rows, cols), np.concatenate(values), block_dim(n_max), basis)
     raise ValueError(f"unknown observable basis {basis!r}")
 
 
@@ -257,19 +267,17 @@ def coherence_witness(n: int, n_max: int) -> Observable:
     not commute with photon number, so its expectation depends on the prior."""
     if not 0 <= n < n_max:
         raise ValueError(f"need 0 <= n < n_max, got n={n}, n_max={n_max}")
-    matrix = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    matrix[n, n + 1] = 1.0
-    matrix[n + 1, n] = 1.0
-    return Observable(matrix, "fock")
+    return Observable((np.array([n, n + 1]), np.array([n + 1, n])), np.ones(2), n_max + 1, "fock")
 
 
 def expectation(obs: Observable, rho: DensityMatrix) -> float:
-    """Tr(O rho), checked real to 1e-10."""
+    """Tr(O rho) = sum_ij O_ij rho_ji over the stored entries of O, checked
+    real to 1e-10."""
     if obs.basis != rho.basis:
         raise ValueError(f"basis mismatch: observable {obs.basis!r} vs state {rho.basis!r}")
-    if obs.matrix.shape != rho.matrix.shape:
-        raise ValueError(f"dimension mismatch: {obs.matrix.shape} vs {rho.matrix.shape}")
-    value = complex(np.sum(obs.matrix * rho.matrix.T))
+    if (obs.dim, obs.dim) != rho.matrix.shape:
+        raise ValueError(f"dimension mismatch: {(obs.dim, obs.dim)} vs {rho.matrix.shape}")
+    value = complex(np.sum(obs.values * rho.matrix.T[obs.index]))
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)

@@ -148,6 +148,27 @@ class TestTwirlDemo:
             else:
                 assert spread < 1e-10
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--alpha", "1"),
+            ("--alpha", "2", "--n-observables", "10", "--prior", "vonmises:-3")
+            + ("--prior", "twopoint:0,1", "--prior", "uniform", "--prior", "vonmises:40"),
+        ],
+        ids=["default-priors", "four-priors"],
+    )
+    def test_commutant_rows_equal_across_priors(self, args):
+        result = run_cli("twirl-demo", *args)
+        assert result.returncode == 0
+        config, _, rows = parse_csv(result.stdout)
+        strings = {}
+        for row in rows:
+            if row["observable"] != "control":
+                strings.setdefault(row["observable"], set()).add(row["expectation"])
+        assert len(strings) == config["n_observables"]
+        for name, values in strings.items():
+            assert len(values) == 1, (name, values)
+
     def test_unknown_prior_is_config_error(self):
         result = run_cli("twirl-demo", "--prior", "gaussian:2")
         assert result.returncode == 2
@@ -237,6 +258,10 @@ def test_bad_magnitude_is_config_error(args):
         # memory-error traceback after the d = 3 rows were computed
         ("way-demo", "--dim-list", "2897"),
         ("way-demo", "--dim-list", "3,99999"),
+        # each d is checked in full, its size included, before the next one
+        ("way-demo", "--dim-list", "99999,4"),
+        # 4 x (10**8 + 1) rows ran without bound
+        ("twirl-demo", "--n-max", "2", "--n-observables", "100000000"),
     ],
     ids=[
         "grid",
@@ -246,6 +271,8 @@ def test_bad_magnitude_is_config_error(args):
         "twirl-n-max",
         "way-d",
         "way-d-list",
+        "way-d-before-odd",
+        "twirl-rows",
     ],
 )
 def test_oversize_request_refused_with_exit_3(args):
@@ -284,6 +311,12 @@ class TestWayDemo:
         assert len(by_case) == 9
         for case, values in by_case.items():
             assert len(values) == 1, (case, values)
+
+    def test_size_limit_names_the_lattice_grid(self):
+        result = run_cli("way-demo", "--dim-list", "2897")
+        assert result.returncode == 3
+        assert "2897 x 2897" in result.stderr
+        assert "cutoffs" not in result.stderr
 
     def test_even_dimension_is_config_error(self):
         result = run_cli("way-demo", "--dim-list", "4")

@@ -154,6 +154,26 @@ def test_relative_state_overlap_matches_block_loop(pair, z_mag, z_phase):
     assert abs(relative_state_overlap(state, z) - want) <= 1e-13
 
 
+@st.composite
+def overlap_inputs(draw):
+    """(state, z): a random complex grid against a random z, or a product
+    approximation against its own WH target, where the overlap is 1 up to
+    rounding."""
+    phases = st.floats(0.0, 2 * np.pi)
+    if draw(st.booleans()):
+        z = draw(st.floats(0.0, 3.0)) * np.exp(1j * draw(phases))
+        return draw(grid_pairs())[0], z
+    alpha = draw(st.floats(0.0, 3.0)) * np.exp(1j * draw(phases))
+    beta = draw(st.floats(0.5, 40.0)) * np.exp(1j * draw(phases))
+    return approx_product(alpha, beta), relative_target(alpha, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=overlap_inputs())
+def test_relative_state_overlap_in_unit_interval(case):
+    assert 0.0 <= relative_state_overlap(*case) <= 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     nhat=st.floats(0.0, 50.0),

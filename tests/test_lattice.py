@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from relphase import (
     QuditPairState,
+    SizeLimitError,
     displace,
     fidelity_pure_mixed,
     from_relative_basis,
@@ -46,6 +47,12 @@ class TestStateConstruction:
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             QuditPairState(np.eye(4, dtype=complex) / 2.0)
+
+    def test_oversize_dimension_rejected(self):
+        # a read-only view: the check comes before any entry is read
+        grid = np.broadcast_to(np.zeros(1, dtype=complex), (2897, 2897))
+        with pytest.raises(SizeLimitError, match="2897 x 2897"):
+            QuditPairState(grid)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -433,6 +440,11 @@ class TestMomentumEigenstate:
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             momentum_eigenstate(4, 1)
+
+    def test_oversize_dimension_rejected(self):
+        with pytest.raises(SizeLimitError, match="a 2897 x 2897 grid has 8392609 entries"):
+            momentum_eigenstate(2897, 0)
+        momentum_eigenstate(2895, 0)
 
 
 def test_product_pair_helper():

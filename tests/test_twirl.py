@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from relphase import (
     UNIFORM,
     DensityMatrix,
+    Observable,
     PriorGrid,
     UniformPrior,
     coherence_witness,
@@ -24,7 +25,7 @@ from relphase import (
     two_point_prior,
     von_mises_prior,
 )
-from relphase.blocks import block_offset
+from relphase.blocks import block_dim, block_offset
 from relphase.twirl import _twirl
 
 from conftest import random_state_vector
@@ -50,6 +51,37 @@ def random_grid_prior(rng, n_points=32):
     angles = np.sort(rng.uniform(0, 2 * np.pi, n_points))
     weights = rng.uniform(0.1, 1.0, n_points)
     return PriorGrid(angles=angles, weights=weights / weights.sum())
+
+
+def dense(obs):
+    """The full dim x dim matrix of an observable stored by its entries."""
+    matrix = np.zeros((obs.dim, obs.dim), dtype=complex)
+    matrix[obs.index] = obs.values
+    return matrix
+
+
+def from_dense(matrix, basis):
+    """An observable from a dense matrix: its nonzero entries, in the
+    (rows, cols) order of np.nonzero."""
+    matrix = np.asarray(matrix)
+    index = np.nonzero(matrix)
+    return Observable(index, matrix[index], matrix.shape[0], basis)
+
+
+def dense_commutant_observable(n_max, seed, basis="fock"):
+    """Reference: the dense commutant matrices that random_commutant_observable
+    built before observables kept only their nonzero entries."""
+    rng = np.random.default_rng(seed)
+    if basis == "fock":
+        return np.diag(rng.standard_normal(n_max + 1)).astype(complex)
+    dim = block_dim(n_max)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for big_n in range(n_max + 1):
+        size = big_n + 1
+        raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        lo = block_offset(big_n)
+        matrix[lo : lo + size, lo : lo + size] = (raw + raw.conj().T) / 2.0
+    return matrix
 
 
 def prior_family(rng):
@@ -202,44 +234,64 @@ class TestTwirlTwoMode:
 
 class TestCommutantObservables:
     def test_block_structure_exact(self):
-        obs = random_commutant_observable(6, seed=3, basis="block")
+        matrix = dense(random_commutant_observable(6, seed=3, basis="block"))
         for big_n in range(7):
             lo = block_offset(big_n)
             hi = lo + big_n + 1
-            projector = np.zeros_like(obs.matrix)
+            projector = np.zeros_like(matrix)
             projector[lo:hi, lo:hi] = np.eye(big_n + 1)
-            commutator = projector @ obs.matrix - obs.matrix @ projector
+            commutator = projector @ matrix - matrix @ projector
             assert np.max(np.abs(commutator)) == 0.0
-        assert np.max(np.abs(obs.matrix - obs.matrix.conj().T)) == 0.0
+        assert np.max(np.abs(matrix - matrix.conj().T)) == 0.0
 
     def test_fock_variant_is_diagonal(self):
-        obs = random_commutant_observable(9, seed=5)
-        assert np.max(np.abs(obs.matrix - np.diag(np.diag(obs.matrix)))) == 0.0
+        matrix = dense(random_commutant_observable(9, seed=5))
+        assert np.max(np.abs(matrix - np.diag(np.diag(matrix)))) == 0.0
 
     def test_deterministic_per_seed(self):
         a = random_commutant_observable(8, seed=1, basis="block")
         b = random_commutant_observable(8, seed=1, basis="block")
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(dense(a), dense(b))
 
     def test_distinct_seeds_differ(self):
         a = random_commutant_observable(8, seed=1)
         b = random_commutant_observable(8, seed=2)
-        assert np.max(np.abs(a.matrix - b.matrix)) > 1e-6
+        assert np.max(np.abs(dense(a) - dense(b))) > 1e-6
+
+    @pytest.mark.parametrize("basis", ["fock", "block"])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 20])
+    def test_entries_are_the_dense_nonzeros(self, n_max, basis):
+        obs = random_commutant_observable(n_max, seed=n_max + 11, basis=basis)
+        want = from_dense(dense_commutant_observable(n_max, n_max + 11, basis), basis)
+        assert obs.dim == want.dim
+        assert obs.basis == basis
+        assert np.array_equal(obs.index[0], want.index[0])
+        assert np.array_equal(obs.index[1], want.index[1])
+        assert np.array_equal(obs.values, want.values)
+
+    def test_stores_only_the_blocks(self):
+        obs = random_commutant_observable(30, seed=0, basis="block")
+        assert obs.values.size == sum((big_n + 1) ** 2 for big_n in range(31))
+        assert obs.dim == block_dim(30)
+        assert random_commutant_observable(30, seed=0).values.shape == (31,)
+
+    def test_witness_is_two_entries(self):
+        witness = coherence_witness(3, 9)
+        assert witness.values.size == 2
+        want = np.zeros((10, 10), dtype=complex)
+        want[3, 4] = want[4, 3] = 1.0
+        assert np.array_equal(dense(witness), want)
 
 
 class TestExpectation:
     def test_identity_gives_trace(self):
-        from relphase import Observable
-
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex), basis="fock")
-        obs = Observable(np.eye(2, dtype=complex), basis="fock")
+        obs = from_dense(np.eye(2, dtype=complex), basis="fock")
         assert expectation(obs, rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_projector_on_own_state(self):
-        from relphase import Observable
-
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), basis="fock")
-        obs = Observable(np.diag([1.0, 0.0]).astype(complex), basis="fock")
+        obs = from_dense(np.diag([1.0, 0.0]).astype(complex), basis="fock")
         assert expectation(obs, rho) == 1.0
 
     def test_linearity(self):
@@ -260,13 +312,20 @@ class TestExpectation:
         with pytest.raises(ValueError, match="basis mismatch"):
             expectation(obs, rho)
 
-    def test_imaginary_residue_rejected(self):
-        from relphase import Observable
+    def test_dimension_mismatch_rejected(self):
+        obs = random_commutant_observable(3, seed=0)
+        rho = DensityMatrix(np.eye(5, dtype=complex) / 5, basis="fock")
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(4, 4\) vs \(5, 5\)"):
+            expectation(obs, rho)
 
-        skew = Observable(np.array([[0.0, 1j], [0.0, 0.0]]), basis="fock")
+    def test_imaginary_residue_rejected(self):
+        skew = from_dense(np.array([[0.0, 1j], [0.0, 0.0]]), basis="fock")
         rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), basis="fock")
         with pytest.raises(ValueError, match="imaginary residue"):
             expectation(skew, rho)
+
+
+PRIORS = prior_family(np.random.default_rng(41))
 
 
 class TestPriorIndependence:
@@ -291,6 +350,20 @@ class TestPriorIndependence:
             obs = random_commutant_observable(18, seed=seed, basis="block")
             values = [expectation(obs, twirl_two_mode(state, prior)) for prior in priors]
             assert max(values) - min(values) < 1e-10
+
+    @pytest.mark.parametrize("basis", ["fock", "block"])
+    def test_commutant_equal_across_priors_bit_for_bit(self, basis):
+        if basis == "fock":
+            psi = coherent_vector(2.0, 40)
+            rhos = [twirl_single_mode(psi / np.linalg.norm(psi), prior) for prior in PRIORS]
+            n_max = 40
+        else:
+            state = two_mode_coherent(1.0, 1.0, 21, 21)
+            rhos = [twirl_two_mode(state / np.linalg.norm(state), prior) for prior in PRIORS]
+            n_max = 42
+        for seed in range(10):
+            obs = random_commutant_observable(n_max, seed=seed, basis=basis)
+            assert len({expectation(obs, rho) for rho in rhos}) == 1
 
     def test_control_witness_depends_on_prior(self, oracle):
         psi = coherent_vector(1.0, 21)
@@ -437,3 +510,27 @@ def test_two_mode_scatter_matches_block_flatten(rows, cols, seed, prior_index):
     prior = prior_family(rng)[prior_index]
     rho = twirl_two_mode(state, prior).matrix
     assert np.max(np.abs(rho - previous_twirl_two_mode(state, prior))) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prior_index=st.integers(0, 4),
+    basis=st.sampled_from(["fock", "block"]),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+)
+def test_expectation_matches_dense_reference(seed, prior_index, basis, shape):
+    rng = np.random.default_rng(seed)
+    prior = prior_family(rng)[prior_index]
+    state = random_state_vector(rng, shape[0] * shape[1])
+    if basis == "fock":
+        rho = twirl_single_mode(state, prior)
+    else:
+        rho = twirl_two_mode(state.reshape(shape), prior)
+    n_max = state.size - 1 if basis == "fock" else sum(shape) - 2
+    observables = [random_commutant_observable(n_max, seed % 1000, basis)]
+    if basis == "fock" and n_max > 0:
+        observables.append(coherence_witness(0, n_max))
+    for obs in observables:
+        want = complex(np.sum(dense(obs) * rho.matrix.T))
+        assert abs(expectation(obs, rho) - want.real) <= 1e-13

@@ -63,6 +63,10 @@ state = two_mode_coherent({alpha}, {alpha}, n_max, n_max)
 state = state / np.linalg.norm(state)
 """ + VON_MISES
 
+SCORE = TWO_MODE + """
+from relphase import expectation, random_commutant_observable
+rho = twirl_two_mode(state, prior)"""
+
 SINGLE_MODE = """\
 import numpy as np
 from relphase import coherent_vector, twirl_single_mode
@@ -119,6 +123,12 @@ CASES = [
             "twirl_two_mode(state, prior)",
         )
         for alpha in (1, 2, 3)
+    ),
+    call(
+        "expectation(random_commutant_observable(2 n_max, 0, block), rho), vonmises:4",
+        "alpha = 2",
+        SCORE.format(alpha=2),
+        "expectation(random_commutant_observable(2 * n_max, 0, 'block'), rho)",
     ),
     call(
         "twirl_single_mode, vonmises:4",

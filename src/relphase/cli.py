@@ -50,7 +50,7 @@ DEFAULT_WAY_PRIORS = ["uniform", "point:1", "twopoint:0,2", "vonmises:4.0"]
 
 # Largest twirl-demo table, in rows (priors x (observables + 1)).  At --n-max 2
 # a row costs about 40 us and 0.4 KB on a 2-core x86 machine, so 2**20 rows
-# take about 40 s and 420 MB, near the peak of the dense twirl at the grid limit.
+# take about 40 s and 420 MB.
 MAX_TWIRL_ROWS = 2**20
 
 
@@ -151,7 +151,7 @@ def cmd_twirl_demo(args) -> int:
         raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
-    check_grid_size(n_max, n_max)  # the dense twirl is (n_max+1)^2
+    check_grid_size(n_max, n_max)  # the twirl's .matrix, if read, is (n_max+1)^2
     prior_specs = args.priors or list(DEFAULT_TWIRL_PRIORS)
     n_rows = len(prior_specs) * (args.n_observables + 1)
     if n_rows > MAX_TWIRL_ROWS:

@@ -112,8 +112,28 @@ def log_binomial(big_n, k):
     return m * np.log(np.maximum(big_n, 1)) + log_falling_ratio(big_n, m) - log_factorial(m)
 
 
+class DenseReads:
+    """The reads that ``expectation`` and ``purity`` make of a state, taken
+    from its dense ``matrix``."""
+
+    @property
+    def shape(self) -> tuple:
+        return self.matrix.shape
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """rho[rows[i], cols[i]] for each i."""
+        return self.matrix[rows, cols]
+
+    def trace_square(self) -> complex:
+        """Tr(rho^2) = sum_ij rho_ij rho_ji."""
+        m = self.matrix
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        return complex(np.sum(m * m.T))
+
+
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(DenseReads):
     """Hermitian matrix plus a tag naming its index convention.
 
     ``basis`` is one of ``"fock"`` (photon number n), ``"block"`` (total
@@ -161,7 +181,7 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
 def _clamp_unit(value: float) -> float:
     """A fidelity or overlap clamped into [0, 1]; an excursion beyond
     CLAMP_TOL raises ValueError instead of being hidden."""
-    if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
+    if not -CLAMP_TOL <= value <= 1.0 + CLAMP_TOL:  # NaN fails too
         raise ValueError(f"value {value!r} lies outside [0, 1] beyond float noise")
     return min(max(value, 0.0), 1.0)
 
@@ -169,7 +189,7 @@ def _clamp_unit(value: float) -> float:
 def fidelity_pure_mixed(psi: np.ndarray, rho: DensityMatrix) -> float:
     """<psi|rho|psi> for a normalized vector against a density matrix."""
     psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("psi must be normalized to 1e-10")
     if rho.matrix.shape != (psi.size, psi.size):
         raise ValueError(
@@ -181,12 +201,9 @@ def fidelity_pure_mixed(psi: np.ndarray, rho: DensityMatrix) -> float:
     return _clamp_unit(float(value.real))
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2) of a trace-normalized density matrix."""
-    m = rho.matrix
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    value = complex(np.sum(m * m.T))
+def purity(rho) -> float:
+    """Tr(rho^2) of a trace-normalized state, as the state computes it."""
+    value = complex(rho.trace_square())
     if abs(value.imag) > 1e-12:
         raise ValueError(f"purity has imaginary residue {value.imag:.3e}")
     return float(value.real)

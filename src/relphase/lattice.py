@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import check_grid_size
-from .fock import DensityMatrix
+from .fock import DenseReads, DensityMatrix
 from .twirl import _check_prior_weights, read_prior_rows, read_prior_spec, von_mises_prior
 
 __all__ = [
@@ -62,7 +62,7 @@ class QuditPairState:
         _require_odd(amps.shape[0])
         if self.view not in (PRODUCT, RELATIVE):
             raise ValueError(f"unknown view {self.view!r}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
             raise ValueError("pair state must be normalized to 1e-12")
 
     @property
@@ -144,7 +144,7 @@ def shift_prior(spec: str, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PairTwirl:
+class PairTwirl(DenseReads):
     """sum_X P(X) D(X)|psi><psi|D(X)^dag over the pair lattice, held as the
     relative-view amplitudes A[x_r, x_a] and the shift weights P(X).
 

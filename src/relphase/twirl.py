@@ -10,22 +10,24 @@ is a Schur product with the prior's characteristic function,
 
 and ``UNIFORM`` is chi(m) = delta(m), which zeroes every coherence between
 different charges exactly.  chi(0) is stored as exactly 1, so every
-same-charge entry is the same float under every prior.  Observables are
-stored by their nonzero entries; one that commutes with the charge reads
-only same-charge entries, so its expectation is the same under every prior,
-bit for bit.
+same-charge entry is the same float under every prior.  A twirled state is
+held as (psi, q, chi); its dense matrix is built only when read.
+Observables are stored by their nonzero entries; one that commutes with the
+charge reads only same-charge entries, so its expectation is the same under
+every prior, bit for bit.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
 
 from .blocks import block_dim, block_index, block_offset
-from .fock import DensityMatrix
 
 __all__ = [
     "Observable",
+    "PhaseTwirl",
     "PriorGrid",
     "UNIFORM",
     "UniformPrior",
@@ -94,7 +96,7 @@ def _check_prior_weights(weights, label: str, size: int) -> np.ndarray:
         raise ValueError(f"{label} weights must be finite")
     if np.any(weights < 0):
         raise ValueError(f"{label} weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if not abs(weights.sum() - 1.0) <= 1e-12:
         raise ValueError(f"{label} weights must sum to 1, got {weights.sum()!r}")
     return weights
 
@@ -189,10 +191,58 @@ def parse_prior(spec: str):
     )
 
 
-def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
-    """psi psi^dag (Schur) chi(q_i - q_j) for nonnegative charge labels q,
-    with chi(m) = sum_g w_g e^{-i phi_g m} tabulated once for |m| <= max q."""
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+@dataclass(frozen=True)
+class PhaseTwirl:
+    """psi psi^dag (Schur) chi(q_i - q_j), held as the ket psi, its charge
+    labels q (nonnegative integers) and chi(m) for |m| <= max q, at
+    ``chi[m + max q]``.
+
+    ``matrix`` is the dense density matrix in the index convention
+    ``basis``, built on first read and kept; ``entries`` and
+    ``trace_square`` read the factors.
+    """
+
+    psi: np.ndarray
+    labels: np.ndarray
+    chi: np.ndarray
+    basis: str
+
+    @property
+    def shape(self) -> tuple:
+        return (self.psi.size, self.psi.size)
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """rho[rows[i], cols[i]] for each i, as ``matrix`` holds them."""
+        psi, labels, span = self.psi, self.labels, self.chi.size // 2
+        return (psi[rows] * psi[cols].conj()) * self.chi[labels[rows] - labels[cols] + span]
+
+    def trace_square(self) -> float:
+        """Tr(rho^2) = sum_m |chi(m)|^2 sum_q p_q p_{q+m}, with p_q the mass
+        of psi at charge q."""
+        mass = np.bincount(self.labels, weights=np.abs(self.psi) ** 2)
+        return float(np.dot(np.abs(self.chi) ** 2, np.correlate(mass, mass, "full")))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """One row band per run of equal charge q: psi_i psi^dag, then times
+        chi(q - q_j), so no full-size temporary is made."""
+        psi, labels, span = self.psi, self.labels, self.chi.size // 2
+        # 2-D operands, as np.outer has: numpy takes another path, which rounds
+        # complex products differently, for a broadcast 1-element 1-D operand
+        conj = psi.conj()[None, :]
+        out = np.empty(self.shape, dtype=complex)
+        edges = [0, *(np.flatnonzero(np.diff(labels)) + 1), psi.size]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            band = out[lo:hi]
+            np.multiply(psi[lo:hi, None], conj, out=band)
+            band *= self.chi[labels[lo] - labels[None, :] + span]
+        return out
+
+
+def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwirl:
+    """The twirl of psi over charge labels q, with chi(m) = sum_g w_g
+    e^{-i phi_g m} tabulated once for |m| <= max q."""
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("input state must be normalized to 1e-10")
     span = labels.max()
     m = np.arange(-span, span + 1)
@@ -201,17 +251,22 @@ def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
     else:
         chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
     chi[span] = 1.0  # the total weight, 1 to 1e-12 (_check_prior_weights)
-    return np.outer(psi, psi.conj()) * chi[labels[:, None] - labels[None, :] + span]
+    return PhaseTwirl(psi, labels, chi, basis)
 
 
-def twirl_single_mode(psi: np.ndarray, prior) -> DensityMatrix:
+def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
+    """The dense matrix psi psi^dag (Schur) chi(q_i - q_j)."""
+    return _phase_twirl(psi, labels, prior, None).matrix
+
+
+def twirl_single_mode(psi: np.ndarray, prior) -> PhaseTwirl:
     """Average U(phi)|psi><psi|U(phi)^dag over the prior, where
     U(phi)|n> = e^{-i phi n}|n>: the charge label is the photon number n."""
     psi = np.asarray(psi, dtype=complex)
-    return DensityMatrix(_twirl(psi, np.arange(psi.size), prior), basis="fock")
+    return _phase_twirl(psi, np.arange(psi.size), prior, "fock")
 
 
-def twirl_two_mode(state: np.ndarray, prior) -> DensityMatrix:
+def twirl_two_mode(state: np.ndarray, prior) -> PhaseTwirl:
     """Two-mode twirl in the block basis: the phase multiplies both modes,
     acting as e^{-i phi N} on each total-photon-number block, so the charge
     label is N.  Within-block structure is untouched by any prior."""
@@ -221,7 +276,7 @@ def twirl_two_mode(state: np.ndarray, prior) -> DensityMatrix:
     psi = np.zeros(block_dim(n_top), dtype=complex)
     psi[index] = state
     labels = np.repeat(np.arange(n_top + 1), np.arange(1, n_top + 2))
-    return DensityMatrix(_twirl(psi, labels, prior), basis="block")
+    return _phase_twirl(psi, labels, prior, "block")
 
 
 @dataclass(frozen=True)
@@ -270,14 +325,15 @@ def coherence_witness(n: int, n_max: int) -> Observable:
     return Observable((np.array([n, n + 1]), np.array([n + 1, n])), np.ones(2), n_max + 1, "fock")
 
 
-def expectation(obs: Observable, rho: DensityMatrix) -> float:
+def expectation(obs: Observable, rho) -> float:
     """Tr(O rho) = sum_ij O_ij rho_ji over the stored entries of O, checked
-    real to 1e-10."""
+    real to 1e-10.  ``rho`` is a ``DensityMatrix`` or a ``PhaseTwirl``."""
     if obs.basis != rho.basis:
         raise ValueError(f"basis mismatch: observable {obs.basis!r} vs state {rho.basis!r}")
-    if (obs.dim, obs.dim) != rho.matrix.shape:
-        raise ValueError(f"dimension mismatch: {(obs.dim, obs.dim)} vs {rho.matrix.shape}")
-    value = complex(np.sum(obs.values * rho.matrix.T[obs.index]))
+    if (obs.dim, obs.dim) != rho.shape:
+        raise ValueError(f"dimension mismatch: {(obs.dim, obs.dim)} vs {rho.shape}")
+    rows, cols = obs.index
+    value = complex(np.sum(obs.values * rho.entries(cols, rows)))
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)

@@ -186,6 +186,12 @@ class TestTwirlDemo:
         args = ["twirl-demo", "--n-max", "400", "--n-observables", "40"]
         assert peak_mb(RUN_CLI, *args, "--out", str(tmp_path / "twirl.csv")) < 100
 
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
+    def test_grid_limit_builds_no_dense_twirl(self, tmp_path):
+        # the dense 2896 x 2896 twirl alone is 134 MB; building it peaked at 373 MB
+        args = ["twirl-demo", "--n-max", "2895", "--n-observables", "1", "--prior", "uniform"]
+        assert peak_mb(RUN_CLI, *args, "--out", str(tmp_path / "twirl.csv")) < 100
+
     def test_large_kappa_rows_finite(self):
         result = run_cli("twirl-demo", "--prior", "vonmises:1e4")
         assert result.returncode == 0

@@ -414,6 +414,10 @@ class TestInputLimits:
         with pytest.raises(ValueError, match="finite"):
             call()
 
+    def test_nan_grid_overlap_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            relative_state_overlap(np.full((3, 3), math.nan), 1.0)
+
     def test_overflowing_cutoff_is_size_error(self):
         with pytest.raises(SizeLimitError, match="overflows"):
             default_cutoff(1e200)

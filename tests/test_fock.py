@@ -15,7 +15,13 @@ from relphase import (
     inner,
     purity,
 )
-from relphase.fock import STIRLING_FROM, log_binomial, log_factorial, log_falling_ratio
+from relphase.fock import (
+    STIRLING_FROM,
+    _clamp_unit,
+    log_binomial,
+    log_factorial,
+    log_falling_ratio,
+)
 
 from conftest import random_density_matrix, random_state_vector
 
@@ -129,6 +135,11 @@ class TestFidelityPureMixed:
         with pytest.raises(ValueError, match="normalized"):
             fidelity_pure_mixed(np.array([1.0, 1.0, 0.0]), rho)
 
+    def test_nan_psi_rejected(self):
+        rho = DensityMatrix(np.eye(2, dtype=complex) / 2, basis="fock")
+        with pytest.raises(ValueError, match="normalized"):
+            fidelity_pure_mixed(np.array([math.nan, 0.0]), rho)
+
     def test_dimension_mismatch(self):
         rho = DensityMatrix(np.eye(3, dtype=complex) / 3, basis="fock")
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -139,6 +150,11 @@ class TestFidelityPureMixed:
         psi = np.array([1.0, 1.0]) / math.sqrt(2)
         with pytest.raises(ValueError, match="imaginary residue"):
             fidelity_pure_mixed(psi, DensityMatrix(skew, basis="fock"))
+
+
+def test_clamp_unit_rejects_nan():
+    with pytest.raises(ValueError, match="outside"):
+        _clamp_unit(math.nan)
 
 
 class TestPurity:

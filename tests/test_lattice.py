@@ -58,6 +58,10 @@ class TestStateConstruction:
         with pytest.raises(ValueError, match="normalized"):
             QuditPairState(np.ones((3, 3), dtype=complex))
 
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            QuditPairState(np.full((3, 3), np.nan, dtype=complex))
+
     def test_unknown_view_rejected(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 1.0
@@ -152,6 +156,13 @@ class TestTwirlDisplacement:
         rho = twirl_displacement(state, prior)
         psi = state.amplitudes.ravel()
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-15
+
+    def test_purity_reads_the_pair_matrix(self):
+        rng = np.random.default_rng(21)
+        for prior in shift_prior_family(rng, 5):
+            rho = twirl_displacement(random_pair(rng, 5), prior)
+            m = rho.matrix
+            assert purity(rho) == np.sum(m * m.T).real
 
     def test_separable_input_keeps_pure_relative_factor(self):
         rng = np.random.default_rng(22)

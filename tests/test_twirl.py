@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relphase import (
     mean_photon_number,
     parse_prior,
     point_prior,
+    purity,
     random_commutant_observable,
     to_blocks,
     twirl_single_mode,
@@ -26,7 +28,7 @@ from relphase import (
     von_mises_prior,
 )
 from relphase.blocks import block_dim, block_offset
-from relphase.twirl import _twirl
+from relphase.twirl import PhaseTwirl, _twirl
 
 from conftest import random_state_vector
 
@@ -41,6 +43,29 @@ def loop_twirl(psi, labels, prior):
         rotated = np.exp(-1j * phi * labels) * psi
         rho += weight * np.outer(rotated, rotated.conj())
     return rho
+
+
+def schur_twirl(psi, labels, prior):
+    """Reference: the one-line Schur product psi psi^dag * chi(q_i - q_j)
+    that the kernel was before it built the matrix one row band at a time."""
+    span = labels.max()
+    m = np.arange(-span, span + 1)
+    if isinstance(prior, UniformPrior):
+        chi = (m == 0).astype(complex)
+    else:
+        chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
+    chi[span] = 1.0
+    return np.outer(psi, psi.conj()) * chi[labels[:, None] - labels[None, :] + span]
+
+
+def block_ket(state):
+    """Reference scatter of a two-mode grid into the block basis, entry by
+    entry: (n1, n2) goes to block_offset(n1 + n2) + n1."""
+    n_top = sum(state.shape) - 2
+    psi = np.zeros(block_dim(n_top), dtype=complex)
+    for (n1, n2), value in np.ndenumerate(state):
+        psi[block_offset(n1 + n2) + n1] = value
+    return psi
 
 
 def total_number_labels(n_top):
@@ -194,6 +219,10 @@ class TestTwirlSingleMode:
         with pytest.raises(ValueError, match="normalized"):
             twirl_single_mode(np.array([1.0, 1.0]), UNIFORM)
 
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            twirl_single_mode(np.array([math.nan, 0.0]), UNIFORM)
+
 
 class TestTwirlTwoMode:
     def setup_method(self):
@@ -215,6 +244,10 @@ class TestTwirlTwoMode:
             if big_n <= 12:
                 expected = math.exp(-mean + big_n * math.log(mean) - math.lgamma(big_n + 1))
                 assert abs(block_weight - expected) < 1e-10
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            twirl_two_mode(np.full((2, 2), math.nan), UNIFORM)
 
     def test_point_prior_preserves_purity(self):
         rho = twirl_two_mode(self.state, point_prior(0.4))
@@ -534,3 +567,63 @@ def test_expectation_matches_dense_reference(seed, prior_index, basis, shape):
     for obs in observables:
         want = complex(np.sum(dense(obs) * rho.matrix.T))
         assert abs(expectation(obs, rho) - want.real) <= 1e-13
+
+
+def assert_factored_reads_match_dense(rho, reference, observables):
+    """The reads of a PhaseTwirl, made before its matrix exists, against the
+    dense reference: purity within 1e-13, expectations bit for bit."""
+    purity_value = purity(rho)
+    values = [expectation(obs, rho) for obs in observables]
+    assert "matrix" not in vars(rho)
+    assert np.array_equal(rho.matrix, reference)
+    assert abs(purity_value - np.sum(reference * reference.T).real) <= 1e-13
+    dense_rho = DensityMatrix(rho.matrix, rho.basis)
+    assert values == [expectation(obs, dense_rho) for obs in observables]
+
+
+class TestFactoredTwirl:
+    @settings(max_examples=60, deadline=None)
+    @given(psi=single_mode_states, prior_index=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_single_mode(self, psi, prior_index, seed):
+        prior = prior_family(np.random.default_rng(seed))[prior_index]
+        rho = twirl_single_mode(psi, prior)
+        assert isinstance(rho, PhaseTwirl)
+        reference = schur_twirl(psi, np.arange(psi.size), prior)
+        observables = [random_commutant_observable(psi.size - 1, seed)]
+        if psi.size > 1:
+            observables.append(coherence_witness(seed % (psi.size - 1), psi.size - 1))
+        assert_factored_reads_match_dense(rho, reference, observables)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=two_mode_states, prior_index=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_two_mode(self, state, prior_index, seed):
+        prior = prior_family(np.random.default_rng(seed))[prior_index]
+        rho = twirl_two_mode(state, prior)
+        n_top = sum(state.shape) - 2
+        reference = schur_twirl(block_ket(state), total_number_labels(n_top), prior)
+        observables = [random_commutant_observable(n_top, seed + j, "block") for j in range(3)]
+        assert_factored_reads_match_dense(rho, reference, observables)
+
+    @pytest.mark.parametrize("basis", ["fock", "block"])
+    def test_reads_build_no_dense_matrix(self, basis):
+        # the dense twirl is 64 MB (n <= 2000) or 160 MB (N <= 78) here; the
+        # two-point chi table is under 0.3 MB
+        prior = two_point_prior(0.1, 2.5)
+        tracemalloc.start()
+        try:
+            if basis == "fock":
+                psi = coherent_vector(3.0, 2000)
+                rho = twirl_single_mode(psi / np.linalg.norm(psi), prior)
+                observables = [random_commutant_observable(2000, 0), coherence_witness(0, 2000)]
+            else:
+                state = two_mode_coherent(2.0, 2.0, 39, 39)
+                rho = twirl_two_mode(state / np.linalg.norm(state), prior)
+                observables = [random_commutant_observable(78, 0, basis)]
+            for obs in observables:
+                expectation(obs, rho)
+            purity(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.psi.size**2 * 16 / 8
+        assert "matrix" not in vars(rho)

@@ -117,12 +117,18 @@ CASES = [
     ),
     *(
         call(
-            "twirl_two_mode, vonmises:4",
+            "twirl_two_mode(...).matrix, vonmises:4",
             f"alpha = {alpha}",
             TWO_MODE.format(alpha=alpha),
-            "twirl_two_mode(state, prior)",
+            "twirl_two_mode(state, prior).matrix",
         )
         for alpha in (1, 2, 3)
+    ),
+    call(
+        "purity(twirl_two_mode(...)), vonmises:4",
+        "alpha = 3",
+        TWO_MODE.format(alpha=3) + "\nfrom relphase import purity",
+        "purity(twirl_two_mode(state, prior))",
     ),
     call(
         "expectation(random_commutant_observable(2 n_max, 0, block), rho), vonmises:4",
@@ -131,10 +137,10 @@ CASES = [
         "expectation(random_commutant_observable(2 * n_max, 0, 'block'), rho)",
     ),
     call(
-        "twirl_single_mode, vonmises:4",
+        "twirl_single_mode(...).matrix, vonmises:4",
         "n = 2000",
         SINGLE_MODE.format(n=2000),
-        "twirl_single_mode(psi, prior)",
+        "twirl_single_mode(psi, prior).matrix",
     ),
     *(
         call(

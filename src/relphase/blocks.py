@@ -31,7 +31,9 @@ __all__ = [
 
 # Largest (n1, n2) grid, in entries, that the grid builders will allocate:
 # 2**23 complex entries are 134 MB, and a factorization report holds a few
-# grid-sized arrays at once.  At |alpha| = 1 this is reached near |beta| = 600.
+# grid-sized arrays at once.  At |alpha| = 1 a full grid from n = 0 reaches
+# it near |beta| = 620; factorization_fidelity builds only the Poisson window
+# of each mode, which reaches it at |beta| = 19064.
 MAX_GRID_ENTRIES = 2**23
 
 
@@ -53,7 +55,8 @@ def default_cutoff(mag: float) -> int:
 
 def check_grid_size(n1_max: int, n2_max: int):
     """Raise SizeLimitError if an (n1_max+1) x (n2_max+1) grid exceeds
-    MAX_GRID_ENTRIES, before anything of that size is allocated."""
+    MAX_GRID_ENTRIES, before anything of that size is allocated.  A window
+    from (lo1, lo2) is checked as check_grid_size(n1_max - lo1, n2_max - lo2)."""
     rows, cols = n1_max + 1, n2_max + 1
     if rows * cols > MAX_GRID_ENTRIES:
         raise SizeLimitError(

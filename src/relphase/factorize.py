@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import check_grid_size, default_cutoff, mean_photon_number, total_number, two_mode_coherent
-from .fock import _clamp_unit, coherent_vector
+from .blocks import check_grid_size, default_cutoff, mean_photon_number
+from .fock import _clamp_unit, _coherent_window
+from .spin import _poisson_window, _wh_window
 
 __all__ = [
     "FactorizationReport",
@@ -31,6 +32,11 @@ __all__ = [
 # Minimum squared norm the truncation must retain before any comparison is
 # trusted.
 MIN_RETAINED_MASS = 1.0 - 1e-8
+
+# Largest row block, in entries of its skewed buffer, that the sector
+# reductions work on at once: a larger grid is reduced block by block, with
+# temporaries of a few blocks (1 MB of complex each), not of the whole grid.
+CHUNK_ENTRIES = 2**16
 
 
 class InsufficientCutoffError(ValueError):
@@ -62,44 +68,90 @@ def relative_target(alpha: complex, beta: complex) -> complex:
     return complex(alpha * np.conj(beta) / abs(beta))
 
 
-def _sector_sums(big_n: np.ndarray, values: np.ndarray, n_sectors: int) -> np.ndarray:
-    """Sum of ``values`` over the entries of each total-photon-number sector:
-    one reduction over the charge label N instead of a block-by-block loop."""
-    labels = big_n.ravel()
-    values = values.ravel()
-    if np.iscomplexobj(values):
-        return np.bincount(labels, values.real, n_sectors) + 1j * np.bincount(
-            labels, values.imag, n_sectors
-        )
-    return np.bincount(labels, values, n_sectors)
+def _grid_shape(state: np.ndarray) -> tuple:
+    if state.ndim != 2:
+        raise ValueError(f"expected a 2-D amplitude grid, got shape {state.shape}")
+    return state.shape
 
 
-def _wh_profile(z: complex, n_top: int):
-    """WH amplitudes w_k of amplitude z for k = 0..n_top and the factors
-    W_N^{-1/2}, W_N = sum_{k <= N} |w_k|^2, that renormalize them over block N.
-    Where W_N underflows to 0 (|z| above about 27, lowest N) the factor is 0:
-    a block whose Poisson weight has mean >= |z|^2 holds less than W_N there.
+def _row_blocks(shape) -> list:
+    """(start, stop) of the blocks of whole rows of an (R, C) grid that the
+    sector reductions take at once: the most rows r whose skewed buffer,
+    r x (r + C - 1), holds at most CHUNK_ENTRIES entries, or one row if a
+    row is longer."""
+    rows, cols = shape
+    step = max(1, (math.isqrt((cols - 1) ** 2 + 4 * CHUNK_ENTRIES) - (cols - 1)) // 2)
+    return [(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _by_sector(values: np.ndarray, start: int, stop: int, cols: int) -> np.ndarray:
+    """A per-sector vector read at the sector label of each entry of rows
+    start..stop-1: the view whose entry (i, j) is values[start + i + j]."""
+    return np.lib.stride_tricks.sliding_window_view(values[start : stop + cols - 1], cols)
+
+
+def _sector_sums(shape, block_values, dtype=float) -> np.ndarray:
+    """Sum over the entries of each sector of the values that
+    ``block_values(start, stop)`` gives for rows start..stop-1; entry
+    (i, j) lies in sector i + j, the total photon number less lo1 + lo2 on
+    the window from (lo1, lo2).
+
+    Each block is laid into a buffer skewed by one column per row, whose
+    column sums are its sector sums.  Within a block every sector adds its
+    entries in row order, as a bincount over the row-major labels would.
     """
-    wh = coherent_vector(z, n_top)
-    w_cum = np.cumsum(np.abs(wh) ** 2)
+    rows, cols = shape
+    sums = np.zeros(rows + cols - 1, dtype)
+    for start, stop in _row_blocks(shape):
+        values = block_values(start, stop)
+        skewed = np.zeros((stop - start, stop - start + cols - 1), dtype)
+        strides = (skewed.strides[0] + skewed.strides[1], skewed.strides[1])
+        np.lib.stride_tricks.as_strided(skewed, values.shape, strides)[...] = values
+        sums[start : stop + cols - 1] += skewed.sum(axis=0)
+    return sums
+
+
+def _wh_profile(z: complex, lo1: int, n1_max: int, n_lo: int, n_top: int):
+    """WH amplitudes w_k of amplitude z for k = lo1..n1_max and the factors
+    W_N^{-1/2}, W_N = sum_{k <= N} |w_k|^2, that renormalize them over block
+    N = n_lo..n_top.  Only the window of spin._wh_window is computed: every
+    amplitude outside it underflows to 0.  Where W_N underflows to 0 (|z|
+    above about 27, lowest N) the factor is 0: a block whose Poisson weight
+    has mean >= |z|^2 holds less than W_N there.
+    """
+    k = _wh_window(z, n_top)
+    wh = _coherent_window(z, k[0], k[-1])
+    rows = np.zeros(n1_max - lo1 + 1, dtype=complex)
+    inside = (k >= lo1) & (k <= n1_max)
+    rows[k[inside] - lo1] = wh[inside]
+    w_cum = np.concatenate(([0.0], np.cumsum(np.abs(wh) ** 2)))
+    w_cum = w_cum[np.clip(np.arange(n_lo, n_top + 1) - k[0] + 1, 0, k.size)]
     inv_norm = np.divide(1.0, np.sqrt(w_cum), out=np.zeros_like(w_cum), where=w_cum > 0)
-    return wh, inv_norm
+    return rows, inv_norm
 
 
-def _product_grid(nhat: float, collective_phase: complex, z: complex, n1_max: int, n2_max: int):
-    """Unnormalized product-construction grid plus its retained squared mass.
+def _product_grid(
+    nhat: float, collective_phase: complex, z: complex, n1_max: int, n2_max: int, lo1=0, lo2=0
+):
+    """Unnormalized product-construction grid over the window rows
+    lo1..n1_max x columns lo2..n2_max, plus its retained squared mass.
 
     Block N carries the Poissonian amplitude
     p_N = e^{-nhat/2} (sqrt(nhat) * collective_phase)^N / sqrt(N!) times the
     WH profile of amplitude z renormalized over k = 0..N; entry (n1, n2) of
-    the grid is p_N w_{n1} / sqrt(W_N) with N = n1 + n2.
+    the grid is p_N w_{n1} / sqrt(W_N) with N = n1 + n2.  The size check
+    runs before anything is allocated.
     """
-    check_grid_size(n1_max, n2_max)
-    n_top = n1_max + n2_max
-    poisson = coherent_vector(math.sqrt(nhat) * collective_phase, n_top)
-    wh, inv_norm = _wh_profile(z, n_top)
-    big_n = total_number((n1_max + 1, n2_max + 1))
-    grid = (poisson * inv_norm)[big_n] * wh[: n1_max + 1, None]
+    check_grid_size(n1_max - lo1, n2_max - lo2)
+    n_lo, n_top = lo1 + lo2, n1_max + n2_max
+    poisson = _coherent_window(math.sqrt(nhat) * collective_phase, n_lo, n_top)
+    wh, inv_norm = _wh_profile(z, lo1, n1_max, n_lo, n_top)
+    sector = poisson * inv_norm
+    cols = n2_max - lo2 + 1
+    grid = np.empty((wh.size, cols), dtype=complex)
+    for start, stop in _row_blocks(grid.shape):
+        rows = grid[start:stop]
+        np.multiply(_by_sector(sector, start, stop, cols), wh[start:stop, None], out=rows)
     return grid, float(np.vdot(grid, grid).real)
 
 
@@ -149,24 +201,39 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     identical blocks from cancelling catastrophically:
     ||p_a v v^dag - p_b w w^dag||^2 = (p_a - p_b |g|^2)^2
                                       + 2 p_b^2 |g|^2 ||r||^2 + p_b^2 ||r||^4.
-    An empty block has v = 0, so g = 0 and ||r||^2 = ||w||^2.
+    An empty block has v = 0, so g = 0 and ||r||^2 = ||w||^2.  Only the
+    relative sector label matters, so the grids may be any common window
+    of the (n1, n2) plane.
     """
     state_a = np.asarray(state_a, dtype=complex)
     state_b = np.asarray(state_b, dtype=complex)
     if state_a.shape != state_b.shape:
         raise ValueError(f"grid shape mismatch: {state_a.shape} vs {state_b.shape}")
-    big_n = total_number(state_a.shape)
-    n_sectors = sum(state_a.shape) - 1
+    shape = _grid_shape(state_a)
+    cols = shape[1]
 
     def masses_and_units(state):
-        mass = _sector_sums(big_n, np.abs(state) ** 2, n_sectors)
-        norm = np.sqrt(mass)[big_n]
-        return mass, np.divide(state, norm, out=np.zeros_like(state), where=norm > 0)
+        mass = _sector_sums(shape, lambda start, stop: np.abs(state[start:stop]) ** 2)
+        norm = np.sqrt(mass)
+        inv_norm = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+
+        def unit(start, stop):
+            return state[start:stop] * _by_sector(inv_norm, start, stop, cols)
+
+        return mass, unit
 
     pa, unit_a = masses_and_units(state_a)
     pb, unit_b = masses_and_units(state_b)
-    gram = _sector_sums(big_n, unit_a.conj() * unit_b, n_sectors)
-    residual2 = _sector_sums(big_n, np.abs(unit_b - gram[big_n] * unit_a) ** 2, n_sectors)
+
+    def gram_terms(start, stop):
+        return unit_a(start, stop).conj() * unit_b(start, stop)
+
+    def residual_terms(start, stop):
+        gram_at = _by_sector(gram, start, stop, cols)
+        return np.abs(unit_b(start, stop) - gram_at * unit_a(start, stop)) ** 2
+
+    gram = _sector_sums(shape, gram_terms, complex)
+    residual2 = _sector_sums(shape, residual_terms)
     overlap2 = np.abs(gram) ** 2
     hs2 = np.sum(
         (pa - pb * overlap2) ** 2
@@ -184,14 +251,22 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     With x the grid entries of block N and w_k the WH amplitudes, the
     weighted term is |sum_k x_k^* w_k|^2 / W_N, W_N = sum_{k <= N} |w_k|^2.
     """
+    return _relative_overlap(state, z, 0, 0)
+
+
+def _relative_overlap(state: np.ndarray, z: complex, lo1: int, lo2: int) -> float:
+    """relative_state_overlap of a window grid whose entry (i, j) is
+    (n1, n2) = (lo1 + i, lo2 + j)."""
     state = np.asarray(state, dtype=complex)
-    big_n = total_number(state.shape)
+    shape = _grid_shape(state)
     mass = float(np.vdot(state, state).real)
     if mass == 0.0:
         raise ValueError("state has no populated blocks")
-    n_top = sum(state.shape) - 2
-    wh, inv_norm = _wh_profile(z, n_top)
-    cross = _sector_sums(big_n, state.conj() * wh[: state.shape[0], None], n_top + 1)
+    n1_max = lo1 + shape[0] - 1
+    wh, inv_norm = _wh_profile(z, lo1, n1_max, lo1 + lo2, n1_max + lo2 + shape[1] - 1)
+    cross = _sector_sums(
+        shape, lambda start, stop: state[start:stop].conj() * wh[start:stop, None], complex
+    )
     return _clamp_unit(float(np.sum(np.abs(cross * inv_norm) ** 2)) / mass)
 
 
@@ -202,30 +277,41 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     z = relative_target(alpha, beta)
     n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
     n2_max = default_cutoff(abs(beta)) if n2_max is None else n2_max
+    # Each axis starts at its window edge, 10 standard deviations below the
+    # mean.  The rows of both grids spread like the first mode, |alpha|.  The
+    # columns n2 = N - n1 of the product grid spread wider than the exact
+    # state's |beta|: N and n1 fluctuate independently there, so the
+    # variance is |beta|^2 + 2 |alpha|^2.
+    def start(mean, variance, n_max):
+        return _poisson_window(mean, 10.0 * math.sqrt(variance) + 10.0, math.inf, n_max)[0]
+
+    alpha_sq, beta_sq = abs(alpha) ** 2, abs(beta) ** 2
+    lo1 = start(alpha_sq, alpha_sq, n1_max)
+    lo2 = start(beta_sq, beta_sq + 2.0 * alpha_sq, n2_max)
     nhat = mean_photon_number(alpha, beta)
 
-    exact = two_mode_coherent(alpha, beta, n1_max, n2_max)
+    check_grid_size(n1_max - lo1, n2_max - lo2)
+    exact = np.outer(_coherent_window(alpha, lo1, n1_max), _coherent_window(beta, lo2, n2_max))
     exact_mass = float(np.vdot(exact, exact).real)
     if exact_mass < MIN_RETAINED_MASS:
         raise InsufficientCutoffError(
             f"cutoffs ({n1_max}, {n2_max}) retain only {exact_mass!r} of the exact state"
         )
-    approx_grid, approx_mass = _product_grid(nhat, beta / abs(beta), z, n1_max, n2_max)
+    approx, approx_mass = _product_grid(nhat, beta / abs(beta), z, n1_max, n2_max, lo1, lo2)
     if approx_mass < MIN_RETAINED_MASS:
         raise InsufficientCutoffError(
             f"cutoffs ({n1_max}, {n2_max}) retain only {approx_mass!r} of the product state"
         )
-    exact = exact / math.sqrt(exact_mass)
-    approx = approx_grid / math.sqrt(approx_mass)
+    exact /= math.sqrt(exact_mass)
+    approx /= math.sqrt(approx_mass)
 
     fidelity = _clamp_unit(float(abs(np.vdot(exact, approx)) ** 2))
-    alpha_sq = abs(alpha) ** 2
     return FactorizationReport(
         alpha=complex(alpha),
         beta=complex(beta),
         pure_fidelity=fidelity,
         twirled_hs_distance=twirled_hs_distance(exact, approx),
-        relative_state_overlap=relative_state_overlap(exact, z),
+        relative_state_overlap=_relative_overlap(exact, z, lo1, lo2),
         n1_max=n1_max,
         n2_max=n2_max,
         condition_ratio=nhat / alpha_sq if alpha_sq > 0 else math.inf,

@@ -32,7 +32,7 @@ __all__ = [
 # mpmath stress rows check N up to 10**6.
 MAX_SPIN_N = 2**24
 
-# Half-widths of the WH window in _log_wh_window: outside it every amplitude,
+# Half-widths of the WH window in _wh_window: outside it every amplitude,
 # rescaled by the largest one at k <= N, is below e^-745 and underflows to 0.
 # With mu = |z|^2 the squared profile is a Poisson law, whose log falls by at
 # least t^2 / (2 mu) at k = mu - t and by t^2 / (2 (mu + t/3)) at k = mu + t;
@@ -104,10 +104,18 @@ def _log_spin_profile(big_n: int, mag: float, k: np.ndarray) -> np.ndarray:
     return 0.5 * log_weight - 0.5 * big_n * log_norm
 
 
-def _log_wh_window(z: complex, big_n: int):
-    """The WH coherent profile of amplitude z on k <= N, in log space and
-    rescaled by its largest value: (k, log |w_k| - max_j log |w_j|) over the
-    window of k outside which every rescaled |w_k| is below e^-745.
+def _poisson_window(center: float, below: float, above: float, n_max: int):
+    """Integer edges (lo, hi) of the photon numbers center - below ...
+    center + above, clipped to [0, n_max]: the window of a Poisson-like
+    profile peaked at center.  above = inf keeps every n up to n_max."""
+    lo = min(n_max, max(0, math.floor(center - below)))
+    hi = n_max if center + above >= n_max else math.ceil(center + above)
+    return lo, hi
+
+
+def _wh_window(z: complex, big_n: int) -> np.ndarray:
+    """The k <= N outside which every WH amplitude of z, rescaled by the
+    largest one at k <= N, is below e^-745 and so is every raw amplitude.
 
     The profile k ln|z| - log(k!)/2 is concave with its top at
     p = min(|z|^2, N), so the window is p - 56|z| - 10 ... p + 56|z| + 1000,
@@ -117,13 +125,23 @@ def _log_wh_window(z: complex, big_n: int):
     if not np.isfinite(z):
         raise ValueError(f"coherent amplitude must be finite, got {z}")
     if z == 0:
-        return np.zeros(1, dtype=int), np.zeros(1)
+        return np.zeros(1, dtype=int)
     mag = float(abs(z))
-    top = min(mag * mag, big_n)
-    lo = max(0, math.floor(top - WINDOW_WIDTH * mag - WINDOW_MARGIN_BELOW))
-    hi = min(big_n, math.ceil(top + WINDOW_WIDTH * mag + WINDOW_MARGIN_ABOVE))
-    k = np.arange(lo, hi + 1)
-    log_w = k * math.log(mag) - 0.5 * log_factorial(k)
+    spread = WINDOW_WIDTH * mag
+    lo, hi = _poisson_window(
+        min(mag * mag, big_n), spread + WINDOW_MARGIN_BELOW, spread + WINDOW_MARGIN_ABOVE, big_n
+    )
+    return np.arange(lo, hi + 1)
+
+
+def _log_wh_window(z: complex, big_n: int):
+    """The WH coherent profile of amplitude z on the window k of _wh_window,
+    in log space and rescaled by its largest value: (k, log |w_k| - max_j
+    log |w_j|)."""
+    k = _wh_window(z, big_n)
+    if z == 0:
+        return k, np.zeros(1)
+    log_w = k * math.log(abs(z)) - 0.5 * log_factorial(k)
     return k, log_w - log_w.max()
 
 

@@ -334,6 +334,6 @@ def expectation(obs: Observable, rho) -> float:
         raise ValueError(f"dimension mismatch: {(obs.dim, obs.dim)} vs {rho.shape}")
     rows, cols = obs.index
     value = complex(np.sum(obs.values * rho.entries(cols, rows)))
-    if abs(value.imag) > 1e-10:
+    if not abs(value.imag) <= 1e-10:  # NaN fails too
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)

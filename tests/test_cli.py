@@ -253,8 +253,9 @@ def test_bad_magnitude_is_config_error(args):
 @pytest.mark.parametrize(
     "args",
     [
-        # 22 x 390611 grid entries, just above the 2**23 limit
-        ("factorize-sweep", "--alpha", "1", "--beta-list", "620"),
+        # a 22 x 381302 window, just above the 2**23 limit: the first |beta|
+        # refused at alpha = 1
+        ("factorize-sweep", "--alpha", "1", "--beta-list", "19064"),
         ("factorize-sweep", "--alpha", "1", "--beta-list", "1e200"),
         ("contract-overlap", "--z", "1", "--n-grid", "25,16777217"),
         # a (n_max+1)^2 dense twirl at n_max of about 1e12

@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relphase import (
@@ -24,7 +25,7 @@ from relphase import (
     two_mode_coherent,
 )
 from relphase.blocks import MAX_GRID_ENTRIES
-from relphase.factorize import _product_grid
+from relphase.factorize import _product_grid, _relative_overlap
 
 from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, peak_mb
 
@@ -379,7 +380,8 @@ class TestUnderflow:
 
 class TestStressOracle:
     """mpmath rows at |beta| = 64 and 100, where the BlockState route held a
-    quadratic number of block entries."""
+    quadratic number of block entries, and at |beta| = 300 and 1000, summed
+    over the window of the grid only."""
 
     CASES = json.loads((FIXTURES / "oracle_stress.json").read_text())["factorization_stress_alpha1"]
 
@@ -395,6 +397,17 @@ class TestStressOracle:
         # The grid is 22 x 11011 (3.9 MB); a BlockState of it held 2.15 GB.
         args = ["factorize-sweep", "--alpha", "1", "--beta-list", "100"]
         assert peak_mb(RUN_CLI, *args, "--out", str(tmp_path / "sweep.csv")) < 100
+
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
+    def test_sweep_memory_is_linear_in_the_window(self, tmp_path):
+        # The window is 22 x 60022 entries (21 MB per grid); the full grid,
+        # 22 x 9030011 entries, is above MAX_GRID_ENTRIES and was refused.
+        out = tmp_path / "sweep.csv"
+        args = ["factorize-sweep", "--alpha", "1", "--beta-list", "3000", "--out", str(out)]
+        assert peak_mb(RUN_CLI, *args) < 100
+        row = out.read_text().splitlines()[2].split(",")
+        assert row[4:6] == ["21", "9030010"]
+        assert all(math.isfinite(float(value)) for value in row)
 
 
 class TestInputLimits:
@@ -423,12 +436,140 @@ class TestInputLimits:
             default_cutoff(1e200)
 
     def test_oversize_grid_refused_before_allocation(self):
-        # each grid is within 22 entries of the limit, so a missing guard
+        # each grid is within 44 entries of the limit, so a missing guard
         # would allocate about 140 MB, not tens of GB
         with pytest.raises(SizeLimitError, match="limit"):
             two_mode_coherent(1.0, 1.0, 0, MAX_GRID_ENTRIES)
         n2_max = MAX_GRID_ENTRIES // 22
         with pytest.raises(SizeLimitError, match="limit"):
             approx_product(1.0, 620.0, n1_max=21, n2_max=n2_max)
-        with pytest.raises(SizeLimitError, match="limit"):
-            factorization_fidelity(1.0, 620.0)
+        # |beta| = 19064 is the first whose window, 22 x 381302 entries,
+        # passes the limit at alpha = 1; even its 1-D profiles (6 MB) come
+        # after the check
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="22 x 381302"):
+                factorization_fidelity(1.0, 19064.0)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def full_grid_metrics(alpha, beta):
+    """The three metrics on the full grid, every n1 and n2 from 0 up to the
+    cutoffs, through the public full-grid kernels."""
+    n1_max, n2_max = default_cutoff(abs(alpha)), default_cutoff(abs(beta))
+    exact = two_mode_coherent(alpha, beta, n1_max, n2_max)
+    exact = exact / math.sqrt(np.vdot(exact, exact).real)
+    approx = approx_product(alpha, beta)
+    return (
+        abs(np.vdot(exact, approx)) ** 2,
+        twirled_hs_distance(exact, approx),
+        relative_state_overlap(exact, relative_target(alpha, beta)),
+    )
+
+
+def padded(window, lo1, lo2):
+    """The full grid from (0, 0) that holds ``window`` from (lo1, lo2)."""
+    grid = np.zeros((lo1 + window.shape[0], lo2 + window.shape[1]), dtype=complex)
+    grid[lo1:, lo2:] = window
+    return grid
+
+
+class TestWindow:
+    """factorization_fidelity works on the window rows lo1..n1_max x columns
+    lo2..n2_max; the full-grid kernels are its offset-0 case."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nhat=st.floats(0.0, 50.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        z_mag=st.floats(0.0, 3.0),
+        z_phase=st.floats(0.0, 2 * np.pi),
+        n1_max=st.integers(0, 7),
+        n2_max=st.integers(0, 59),
+        data=st.data(),
+    )
+    def test_product_window_is_a_slice_of_the_full_grid(
+        self, nhat, phase, z_mag, z_phase, n1_max, n2_max, data
+    ):
+        lo1 = data.draw(st.integers(0, n1_max))
+        lo2 = data.draw(st.integers(0, n2_max))
+        args = (nhat, np.exp(1j * phase), z_mag * np.exp(1j * z_phase), n1_max, n2_max)
+        window, _ = _product_grid(*args, lo1, lo2)
+        full, _ = _product_grid(*args)
+        assert np.array_equal(window, full[lo1:, lo2:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pair=grid_pairs(),
+        lo1=st.integers(0, 30),
+        lo2=st.integers(0, 900),
+        z_mag=st.floats(0.0, 3.0),
+    )
+    def test_window_kernels_equal_the_padded_full_grid(self, pair, lo1, lo2, z_mag):
+        state_a, state_b = pair
+        z = z_mag * np.exp(0.4j)
+        full_a, full_b = padded(state_a, lo1, lo2), padded(state_b, lo1, lo2)
+        assert abs(
+            _relative_overlap(state_a, z, lo1, lo2) - relative_state_overlap(full_a, z)
+        ) <= 1e-15
+        distance = twirled_hs_distance(state_a, state_b)
+        assert abs(distance - twirled_hs_distance(full_a, full_b)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(1, 2), (1, 8), (1, 32), (1, 64), (1, 100), (4, 8), (4, 16), (4, 32), (2j, 50),
+         (0.5, 30), (1, 5.5 * np.exp(0.3j)), (3 * np.exp(2j), 60 * np.exp(-1j))],
+    )
+    def test_report_equals_the_full_grid(self, alpha, beta):
+        # the entries below the window are under e^-25 of the peak amplitude,
+        # so the float sums do not see them
+        report = factorization_fidelity(alpha, beta)
+        got = (report.pure_fidelity, report.twirled_hs_distance, report.relative_state_overlap)
+        for value, want in zip(got, full_grid_metrics(alpha, beta)):
+            assert abs(value - want) <= 1e-15
+
+    def test_large_beta_allocates_only_the_window(self):
+        # a full-length profile of n1_max + n2_max = 9030031 complex entries
+        # alone is 144 MB; the two 22 x 60022 window grids are 21 MB each
+        tracemalloc.start()
+        try:
+            report = factorization_fidelity(1.0, 3000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        values = (report.pure_fidelity, report.twirled_hs_distance, report.relative_state_overlap)
+        assert all(0.0 <= value <= 1.0 for value in values)
+        assert (report.n1_max, report.n2_max) == (21, 9030010)
+
+
+# 1 - F = |alpha|^2 / (4 |beta|^2) (1 + eps) with eps |beta|^2 -> 7/16 - |alpha|^2/4.
+@settings(max_examples=6, deadline=None)
+@given(
+    alpha_mag=st.floats(0.0, 3.0),
+    beta_mag=st.floats(30.0, 1000.0),
+    alpha_phase=st.floats(0.0, 2 * np.pi),
+    beta_phase=st.floats(0.0, 2 * np.pi),
+)
+@example(alpha_mag=3.0, beta_mag=30.0, alpha_phase=0.0, beta_phase=0.0)
+@example(alpha_mag=0.5, beta_mag=30.0, alpha_phase=1.0, beta_phase=2.0)
+@example(alpha_mag=math.sqrt(7) / 2, beta_mag=100.0, alpha_phase=0.0, beta_phase=0.0)
+@example(alpha_mag=1.0, beta_mag=1000.0, alpha_phase=0.0, beta_phase=0.0)
+def test_infidelity_follows_the_two_term_law(alpha_mag, beta_mag, alpha_phase, beta_phase):
+    report = factorization_fidelity(
+        alpha_mag * np.exp(1j * alpha_phase), beta_mag * np.exp(1j * beta_phase)
+    )
+    a2, b2 = alpha_mag**2, beta_mag**2
+    lead = a2 / (4 * b2)
+    law = lead * (1 + (7 / 16 - a2 / 4) / b2)
+    # The next term is lead * c3 / |beta|^4; c3 runs from 0.5 at |alpha| =
+    # 0.5 to -6.4 at |alpha| = 3 and stays within four times the scale
+    # 7/16 + |alpha|^2/4 of the second-order coefficient.
+    truncation = lead * 4 * (7 / 16 + a2 / 4) / b2**2
+    # F is a ratio of three sums over at most the full grid's entries; each
+    # sum of n terms carries a rounding error of about sqrt(n) ulps.
+    entries = (report.n1_max + 1) * (report.n2_max + 1)
+    roundoff = 3 * math.sqrt(entries) * np.finfo(float).eps
+    assert abs((1 - report.pure_fidelity) - law) <= truncation + roundoff

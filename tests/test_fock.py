@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from relphase import (
     purity,
 )
 from relphase.fock import (
+    DEVIANCE_FROM,
     STIRLING_FROM,
     _clamp_unit,
+    _coherent_window,
     log_binomial,
     log_factorial,
     log_falling_ratio,
@@ -73,6 +76,33 @@ class TestCoherentVector:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
             coherent_vector(1.0, -1)
+
+    @pytest.mark.parametrize("mag", [256.0, 1000.0, 3000.0, 19063.0])
+    def test_large_mean_window_is_normalized(self, mag):
+        # the Poisson window +-12 sigma holds all but ~1e-32 of the norm; the
+        # direct log sum, used below DEVIANCE_FROM, lost 2e-8 of it at
+        # |alpha| = 3000 to the rounding of ln|alpha| times n
+        assert mag * mag >= DEVIANCE_FROM
+        lo, hi = math.floor(mag * mag - 12 * mag), math.ceil(mag * mag + 12 * mag)
+        amps = _coherent_window(mag * np.exp(0.3j), lo, hi)
+        assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("mag", [100.0, 256.0, 3000.0])
+    def test_large_mean_matches_mpmath(self, mag):
+        mp.mp.dps = 30
+        mean = mag * mag
+        for n in (0, 1, int(mean) - int(5 * mag), int(mean), int(mean) + int(9 * mag)):
+            want = float(-mp.mpf(mean) / 2 + n * mp.log(mag) - mp.loggamma(n + 1) / 2)
+            got = math.log(abs(_coherent_window(mag, n, n)[0])) if want > -700 else None
+            if got is not None:
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    def test_window_equals_full_vector(self):
+        for alpha in (0.8j, 5.0, 40.0 * np.exp(1j), 256.0):
+            n_max = math.ceil(abs(alpha) ** 2 + 10 * abs(alpha) + 10)
+            full = coherent_vector(alpha, n_max)
+            for lo in (0, 1, n_max // 2, n_max):
+                assert np.array_equal(_coherent_window(alpha, lo, n_max), full[lo:])
 
 
 class TestInner:
@@ -151,6 +181,13 @@ class TestFidelityPureMixed:
         with pytest.raises(ValueError, match="imaginary residue"):
             fidelity_pure_mixed(psi, DensityMatrix(skew, basis="fock"))
 
+    def test_nan_matrix_rejected(self):
+        # NaN compares False with the residue bound, so the guard reads it as
+        # out of range instead of returning nan
+        rho = DensityMatrix(np.full((2, 2), math.nan, dtype=complex), basis="fock")
+        with pytest.raises(ValueError, match="imaginary residue"):
+            fidelity_pure_mixed(basis_vector(0, 2), rho)
+
 
 def test_clamp_unit_rejects_nan():
     with pytest.raises(ValueError, match="outside"):
@@ -178,6 +215,11 @@ class TestPurity:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             purity(DensityMatrix(np.zeros((2, 3), dtype=complex), basis="fock"))
+
+    def test_nan_matrix_rejected(self):
+        rho = DensityMatrix(np.full((2, 2), math.nan, dtype=complex), basis="fock")
+        with pytest.raises(ValueError, match="imaginary residue"):
+            purity(rho)
 
 
 def test_hs_distance_basics():

@@ -357,6 +357,11 @@ class TestExpectation:
         with pytest.raises(ValueError, match="imaginary residue"):
             expectation(skew, rho)
 
+    def test_nan_state_rejected(self):
+        rho = DensityMatrix(np.full((2, 2), math.nan, dtype=complex), basis="fock")
+        with pytest.raises(ValueError, match="imaginary residue"):
+            expectation(coherence_witness(0, 1), rho)
+
 
 PRIORS = prior_family(np.random.default_rng(41))
 

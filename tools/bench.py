@@ -14,7 +14,9 @@ test suite) is timed from here, interpreter start included.  The cases run
 one after another, so no two children hold memory at once.
 
 The output is a JSON list of rows ``{case, size, wall_s, peak_rss_mb,
-numpy, python}``; progress goes to stderr.
+numpy, python}``; a case whose child fails (a size an older version
+refuses) gives ``{case, size, error, numpy, python}`` with the last line of
+its stderr.  Progress goes to stderr.
 """
 
 import json
@@ -97,7 +99,9 @@ def process(case, size, code):
 
 def cli(*argv):
     argv = [*argv, "--out", os.devnull]
-    return f"from relphase.cli import main\nassert main({argv!r}) == 0"
+    return (
+        f"from relphase.cli import main\ncode = main({argv!r})\nassert code == 0, f'exit {{code}}'"
+    )
 
 
 CASES = [
@@ -113,7 +117,7 @@ CASES = [
             "from relphase import factorization_fidelity",
             f"factorization_fidelity(1, {b})",
         )
-        for b in (32, 64, 100)
+        for b in (32, 64, 100, 300, 1000, 3000)
     ),
     *(
         call(
@@ -164,6 +168,11 @@ CASES = [
         cli("twirl-demo", "--n-max", "2895", "--n-observables", "1", "--prior", "uniform"),
     ),
     process("CLI way-demo --dim-list 1001", "d = 1001", cli("way-demo", "--dim-list", "1001")),
+    process(
+        "CLI factorize-sweep --alpha 1 --beta-list 3000",
+        "b = 3000",
+        cli("factorize-sweep", "--alpha", "1", "--beta-list", "3000"),
+    ),
 ]
 
 
@@ -176,7 +185,10 @@ def run(case, versions) -> dict:
     )
     elapsed = time.perf_counter() - start
     if result.returncode != 0:
-        raise SystemExit(f"bench: {case['case']} ({case['size']}) failed:\n{result.stderr}")
+        # a size that a version refuses is a result too: keep its message
+        error = result.stderr.strip().splitlines()[-1]
+        print(f"bench: {case['case']} ({case['size']}) failed: {error}", file=sys.stderr)
+        return {"case": case["case"], "size": case["size"], "error": error, **versions}
     wall_s, peak_kb, size = json.loads(result.stdout.splitlines()[-1])
     return {
         "case": case["case"],

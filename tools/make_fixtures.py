@@ -7,7 +7,8 @@ Everything here is computed from first-principles formulas with mpmath
 code with the library under src/.  Values are frozen into the JSON fixtures
 and asserted by the test suite; rerun this script only to audit them.  The
 stress file holds the factorization rows at |beta| = 64 and 100 (grids of
-22 x 4747 and 22 x 11011) and contraction overlaps up to N = 10**6 and at
+22 x 4747 and 22 x 11011), at |beta| = 300 and 1000 (summed over the
+window of the grid only) and contraction overlaps up to N = 10**6 and at
 |z| = 50, kept apart so that oracle.json stays as it was.
 
     pip install -e '.[fixtures]' && python tools/make_fixtures.py
@@ -25,6 +26,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 OUT = FIXTURES / "oracle.json"
 STRESS_OUT = FIXTURES / "oracle_stress.json"
 STRESS_BETAS = [64, 100]
+# Rows summed over the window of the grid only, as factorization_fidelity
+# builds it: the full grids hold 22 x 93011 and 22 x 1010011 entries.
+WINDOW_BETAS = [300, 1000]
 STRESS_CONTRACTION = [
     (1, 10**4), (1, 10**5), (1, 10**6), (2, 10**4), (2, 10**5), (2, 10**6), (50, 25)
 ]
@@ -70,7 +74,29 @@ def cutoff(mag):
     return int(mp.ceil(mag * mag + 10 * mag + 10))
 
 
-def factorization_case(alpha_mag, beta_mag, z_mag, n1_max=None, n2_max=None):
+def window_start(mean, variance, n_max):
+    """Lower edge of a mode's window: floor(mean - 10 sqrt(variance) - 10),
+    clipped to [0, n_max]."""
+    return min(n_max, max(0, int(mp.floor(mean - 10 * mp.sqrt(variance) - 10))))
+
+
+def sqrt_factorials(lo, hi):
+    """sqrt(n!) for n = lo..hi, by exact term ratios from sqrt(lo!)."""
+    out = [mp.sqrt(mp.factorial(lo))]
+    for n in range(lo + 1, hi + 1):
+        out.append(out[-1] * mp.sqrt(n))
+    return out
+
+
+def powers(x, lo, hi):
+    """x^n for n = lo..hi."""
+    out = [x**lo]
+    for _ in range(lo, hi):
+        out.append(out[-1] * x)
+    return out
+
+
+def factorization_case(alpha_mag, beta_mag, z_mag, n1_max=None, n2_max=None, window=False):
     """Exact-vs-product-construction comparison, all phases zero.
 
     Exact block amplitudes   e_N[k] = e^{-<N>/2} a^k b^{N-k} / sqrt(k!(N-k)!)
@@ -82,34 +108,36 @@ def factorization_case(alpha_mag, beta_mag, z_mag, n1_max=None, n2_max=None):
     distance between the two uniformly dephased states, and the
     Poisson-weighted mean block overlap of the exact state with the WH
     profile.
+
+    With ``window`` the grid starts at k >= lo1 and N-k >= lo2, the lower
+    window edges floor(a^2 - 10a - 10) and floor(b^2 - 10 sqrt(b^2 + 2a^2)
+    - 10): every sum runs over the window only.  W_N still sums every
+    j <= N, stopping where the terms fall below 1e-60 of the sum.
     """
     a = mp.mpf(alpha_mag)
     b = mp.mpf(beta_mag)
     z = mp.mpf(z_mag)
     n1m = cutoff(a) if n1_max is None else n1_max
     n2m = cutoff(b) if n2_max is None else n2_max
+    lo1, lo2 = 0, 0
+    if window:
+        lo1, lo2 = window_start(a * a, a * a, n1m), window_start(b * b, b * b + 2 * a * a, n2m)
+    n_lo = lo1 + lo2
     n_top = n1m + n2m
     nhat = a * a + b * b
     log_e = -nhat / 2
 
-    sqrt_fact = [mp.mpf(1)]
-    for n in range(1, n_top + 1):
-        sqrt_fact.append(sqrt_fact[-1] * mp.sqrt(n))
-    pow_a = [mp.mpf(1)]
-    for _ in range(n_top):
-        pow_a.append(pow_a[-1] * a)
-    pow_b = [mp.mpf(1)]
-    for _ in range(n_top):
-        pow_b.append(pow_b[-1] * b)
+    sqrt_fact1 = sqrt_factorials(lo1, n1m)
+    sqrt_fact2 = sqrt_factorials(lo2, n2m)
+    pow_a = powers(a, lo1, n1m)
+    pow_b = powers(b, lo2, n2m)
 
     w = [mp.e ** (-z * z / 2)]
-    for k in range(n_top):
-        w.append(w[-1] * z / mp.sqrt(k + 1))
-    wcum = []
-    acc = mp.mpf(0)
-    for k in range(n_top + 1):
-        acc += w[k] * w[k]
-        wcum.append(acc)
+    wcum = [w[0] * w[0]]
+    tail = mp.mpf("1e-60")
+    while len(w) <= n_top and (not window or len(w) <= n1m or w[-1] ** 2 > wcum[-1] * tail):
+        w.append(w[-1] * z / mp.sqrt(len(w)))
+        wcum.append(wcum[-1] + w[-1] * w[-1])
 
     e_front = mp.e ** log_e
     sqrt_nhat = mp.sqrt(nhat)
@@ -120,19 +148,23 @@ def factorization_case(alpha_mag, beta_mag, z_mag, n1_max=None, n2_max=None):
     per_block = []
     rel_num = mp.mpf(0)
 
-    p_n = e_front  # <N>^{N/2}/sqrt(N!) prefix, updated per block
-    for N in range(n_top + 1):
-        if N > 0:
+    # <N>^{N/2}/sqrt(N!) prefix, updated per block
+    p_n = e_front * sqrt_nhat**n_lo / sqrt_factorials(n_lo, n_lo)[0]
+    for N in range(n_lo, n_top + 1):
+        if N > n_lo:
             p_n *= sqrt_nhat / mp.sqrt(N)
-        k_lo = max(0, N - n2m)
-        k_hi = min(N, n1m)
+        k_lo = max(lo1, N - n2m)
+        k_hi = min(N - lo2, n1m)
         ee = mp.mpf(0)
         aa = mp.mpf(0)
         cr = mp.mpf(0)
         rel_cr = mp.mpf(0)
-        wn = mp.sqrt(wcum[N])
+        w_n = wcum[min(N, len(wcum) - 1)]
+        wn = mp.sqrt(w_n)
         for k in range(k_lo, k_hi + 1):
-            ek = e_front * pow_a[k] * pow_b[N - k] / (sqrt_fact[k] * sqrt_fact[N - k])
+            ek = e_front * pow_a[k - lo1] * pow_b[N - k - lo2] / (
+                sqrt_fact1[k - lo1] * sqrt_fact2[N - k - lo2]
+            )
             ak = p_n * w[k] / wn
             ee += ek * ek
             aa += ak * ak
@@ -143,7 +175,7 @@ def factorization_case(alpha_mag, beta_mag, z_mag, n1_max=None, n2_max=None):
         cross_total += cr
         per_block.append((ee, aa, cr))
         if ee > 0:
-            rel_num += rel_cr * rel_cr / wcum[N]
+            rel_num += rel_cr * rel_cr / w_n
     fidelity = cross_total ** 2 / (norm_e2 * norm_a2)
     hs2 = mp.mpf(0)
     for ee, aa, cr in per_block:
@@ -243,8 +275,8 @@ def main():
     write(OUT, fx)
 
     stress = []
-    for b in STRESS_BETAS:
-        case = factorization_case(1, b, 1)
+    for b in STRESS_BETAS + WINDOW_BETAS:
+        case = factorization_case(1, b, 1, window=b in WINDOW_BETAS)
         case["beta_mag"] = b
         stress.append(case)
     contraction = [

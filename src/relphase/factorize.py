@@ -33,9 +33,10 @@ __all__ = [
 # trusted.
 MIN_RETAINED_MASS = 1.0 - 1e-8
 
-# Largest row block, in entries of its skewed buffer, that the sector
-# reductions work on at once: a larger grid is reduced block by block, with
-# temporaries of a few blocks (1 MB of complex each), not of the whole grid.
+# Largest row block, in grid entries, that the sector reductions work on at
+# once: a larger grid is reduced block by block, with temporaries of a few
+# blocks (1 MB of complex each, twice that for a skewed buffer), not of the
+# whole grid.
 CHUNK_ENTRIES = 2**16
 
 
@@ -76,11 +77,10 @@ def _grid_shape(state: np.ndarray) -> tuple:
 
 def _row_blocks(shape) -> list:
     """(start, stop) of the blocks of whole rows of an (R, C) grid that the
-    sector reductions take at once: the most rows r whose skewed buffer,
-    r x (r + C - 1), holds at most CHUNK_ENTRIES entries, or one row if a
-    row is longer."""
+    sector reductions take at once: CHUNK_ENTRIES entries at most, or one
+    row if a row is longer."""
     rows, cols = shape
-    step = max(1, (math.isqrt((cols - 1) ** 2 + 4 * CHUNK_ENTRIES) - (cols - 1)) // 2)
+    step = max(1, CHUNK_ENTRIES // max(cols, 1))
     return [(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
@@ -96,15 +96,19 @@ def _sector_sums(shape, block_values, dtype=float) -> np.ndarray:
     (i, j) lies in sector i + j, the total photon number less lo1 + lo2 on
     the window from (lo1, lo2).
 
-    Each block is laid into a buffer skewed by one column per row, whose
-    column sums are its sector sums.  Within a block every sector adds its
-    entries in row order, as a bincount over the row-major labels would.
+    Each block is laid into a buffer skewed by one column per line of its
+    shorter axis, whose column sums are its sector sums (the label i + j is
+    symmetric, so a block taller than wide is skewed by columns).  A block
+    no taller than wide adds the entries of every sector in row order, as a
+    bincount over the row-major labels would.
     """
     rows, cols = shape
     sums = np.zeros(rows + cols - 1, dtype)
     for start, stop in _row_blocks(shape):
         values = block_values(start, stop)
-        skewed = np.zeros((stop - start, stop - start + cols - 1), dtype)
+        if values.shape[0] > values.shape[1]:
+            values = values.T
+        skewed = np.zeros((values.shape[0], sum(values.shape) - 1), dtype)
         strides = (skewed.strides[0] + skewed.strides[1], skewed.strides[1])
         np.lib.stride_tricks.as_strided(skewed, values.shape, strides)[...] = values
         sums[start : stop + cols - 1] += skewed.sum(axis=0)

@@ -30,10 +30,10 @@ CLAMP_TOL = 1e-9
 
 # Mean photon number |alpha|^2 from which coherent amplitudes take their log
 # magnitude from the Poisson deviance.  Below it the direct sum
-# -|alpha|^2/2 + n ln|alpha| - log(n!)/2 is used; its terms are about
-# n ln n, so the rounding of ln|alpha| alone tilts the profile by
-# e^{n delta} and moves the norm by about |alpha|^2 * 1e-15 (2e-8 at
-# |alpha| = 3000, where the deviance form keeps it near 1e-11).
+# -|alpha|^2/2 + n ln|alpha| - log(n!)/2 is used, bit for bit as before; its
+# terms are about n ln n, so the rounding of ln|alpha| alone tilts the
+# profile by e^{n delta} and moves the norm by up to about |alpha|^2 * 1e-15
+# (2e-8 at |alpha| = 3000, where the deviance form keeps it near 1e-14).
 DEVIANCE_FROM = 2.0**16
 
 

@@ -108,9 +108,11 @@ class BlockState:
     """Direct-sum form {c_N (x) v_N} of a two-mode state.
 
     ``weights[N]`` is the complex block amplitude c_N and ``vectors[N]`` the
-    length-(N+1) difference-index vector, unit norm with its
-    largest-magnitude entry real positive (the extracted phase lives in
-    c_N), or identically zero for unpopulated blocks.
+    length-(N+1) difference-index vector, unit norm with its peak entry
+    real positive (the extracted phase lives in c_N), or identically zero
+    for unpopulated blocks.  The peak is the entry of largest magnitude;
+    magnitudes within 1e-14 (relative) of the largest tie, and the tie goes
+    to the lowest k, so that rounding in the phase division cannot move it.
     """
 
     weights: np.ndarray
@@ -147,7 +149,8 @@ def to_blocks(state: np.ndarray) -> BlockState:
             vectors.append(raw)
             continue
         unit = raw / mag
-        peak = int(np.argmax(np.abs(unit)))
+        size = np.abs(unit)
+        peak = int(np.argmax(size >= (1.0 - 1e-14) * size.max()))  # the lowest k of a tie
         phase = unit[peak] / abs(unit[peak])
         vectors.append(unit / phase)
         weights[big_n] = mag * phase

@@ -17,9 +17,6 @@ __all__ = [
     "fidelity_pure_mixed",
     "hs_distance",
     "inner",
-    "log_binomial",
-    "log_factorial",
-    "log_falling_ratio",
     "purity",
 ]
 
@@ -28,25 +25,15 @@ __all__ = [
 CLAMP_TOL = 1e-9
 
 
-# Mean photon number |alpha|^2 from which coherent amplitudes take their log
-# magnitude from the Poisson deviance.  Below it the direct sum
-# -|alpha|^2/2 + n ln|alpha| - log(n!)/2 is used, bit for bit as before; its
-# terms are about n ln n, so the rounding of ln|alpha| alone tilts the
-# profile by e^{n delta} and moves the norm by up to about |alpha|^2 * 1e-15
-# (2e-8 at |alpha| = 3000, where the deviance form keeps it near 1e-14).
-DEVIANCE_FROM = 2.0**16
-
-
 class SizeLimitError(ValueError):
     """Raised before allocating an array larger than a module's size limit."""
 
 
-# log n! is read from a math.lgamma table below STIRLING_FROM and summed from
-# the Stirling series above it: log n! = n (ln n - 1) + ln(2 pi n) / 2 + S(n),
-# S(n) = 1/(12n) - 1/(360n^3) + 1/(1260n^5) - 1/(1680n^7) + 1/(1188n^9).  The
+# log n! = n ln n - n + R(n), with the Stirling remainder
+# R(n) = ln(2 pi n)/2 + S(n) and S(n) = 1/(12n) - 1/(360n^3) + 1/(1260n^5)
+# - 1/(1680n^7) + 1/(1188n^9) from STIRLING_FROM on, a table below it.  The
 # first dropped term, 691/(360360 n^11), is below 1e-19 at n = 32.
 STIRLING_FROM = 32
-_LOG_FACTORIAL_TABLE = np.array([math.lgamma(n + 1.0) for n in range(STIRLING_FROM)])
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -55,70 +42,64 @@ def _stirling_series(x):
     return (1 / 12 + inv2 * (-1 / 360 + inv2 * (1 / 1260 + inv2 * (-1 / 1680 + inv2 / 1188)))) / x
 
 
-def _small_stirling_table() -> np.ndarray:
-    """S(n) for 1 <= n < STIRLING_FROM (entry 0 unused), stepped down from
-    the series at STIRLING_FROM by S(n) = S(n+1) + (n + 1/2) log1p(1/n) - 1,
-    so neighbouring entries differ by one rounding, not by two lgamma ulps."""
-    table = [0.0] * (STIRLING_FROM + 1)
-    table[STIRLING_FROM] = _stirling_series(float(STIRLING_FROM))
-    for n in range(STIRLING_FROM - 1, 0, -1):
-        table[n] = table[n + 1] + (n + 0.5) * math.log1p(1.0 / n) - 1.0
-    return np.array(table[:STIRLING_FROM])
+def _small_remainder_table() -> np.ndarray:
+    """R(n) for 0 <= n < STIRLING_FROM, with S(n) stepped down from the
+    series at STIRLING_FROM by S(n) = S(n+1) + (n + 1/2) log1p(1/n) - 1;
+    R(0) = 0 and R(1) = 1 exactly."""
+    table = [0.0, 1.0] + [0.0] * (STIRLING_FROM - 2)
+    s = _stirling_series(float(STIRLING_FROM))
+    for n in range(STIRLING_FROM - 1, 1, -1):
+        s += (n + 0.5) * math.log1p(1.0 / n) - 1.0
+        table[n] = _HALF_LOG_TWO_PI + 0.5 * math.log(n) + s
+    return np.array(table)
 
 
-_STIRLING_TABLE = _small_stirling_table()
+_REMAINDER_TABLE = _small_remainder_table()
 
 
-def _as_counts(n) -> np.ndarray:
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("factorial arguments must be >= 0")
-    return n
-
-
-def _stirling_tail(n: np.ndarray) -> np.ndarray:
-    """S(n) for integers n >= 1: the table below STIRLING_FROM, the series above."""
-    small = n < STIRLING_FROM
-    series = _stirling_series(np.maximum(n, STIRLING_FROM).astype(float))
-    return np.where(small, _STIRLING_TABLE[np.where(small, n, 0)], series)
-
-
-def log_factorial(n):
-    """log n! for integers n >= 0, elementwise (a scalar gives a 0-d array)."""
-    n = _as_counts(n)
-    small = n < STIRLING_FROM
+def _stirling_remainder(n):
+    """R(n) = log n! - (n ln n - n) = ln(2 pi n)/2 + S(n) for integers
+    n >= 0, elementwise: the table below STIRLING_FROM, the series above."""
     big = np.maximum(n, STIRLING_FROM).astype(float)
-    log_big = np.log(big)
-    stirling = big * (log_big - 1.0) + _HALF_LOG_TWO_PI + 0.5 * log_big + _stirling_series(big)
-    return np.where(small, _LOG_FACTORIAL_TABLE[np.where(small, n, 0)], stirling)
+    series = _HALF_LOG_TWO_PI + 0.5 * np.log(big) + _stirling_series(big)
+    return np.where(n < STIRLING_FROM, _REMAINDER_TABLE[np.minimum(n, STIRLING_FROM - 1)], series)
 
 
-def log_falling_ratio(big_n, m):
-    """log(N! / ((N-m)! N^m)), the log of prod_{j<m} (1 - j/N), for integers
-    0 <= m <= N/2, elementwise.
+def _deviance(x, mean):
+    """Poisson deviance D(x, m) = x ln(x/m) - (x - m) >= 0 for x >= 0 and a
+    mean m > 0 with x/m a float, elementwise over arrays; D(0, m) = m.
 
-    With r = log1p(-m/N) it is -(N-m) r - m - r/2 + S(N) - S(N-m).  No
-    log N! - sized terms are formed, so the absolute error stays within a
-    few ulps of m at any N, where log N! - log (N-m)! loses ulps of N ln N.
+    No term of size x ln x is formed only to cancel.  With
+    v = (x - m)/(x + m), ln(x/m) = 2 atanh(v), so D = (x - m) v +
+    2x (atanh(v) - v), summed as a series for |v| < 0.1 (Loader's bd0);
+    further out D = x log1p((x - m)/m) - (x - m) is well above its rounding.
     """
-    big_n = _as_counts(big_n)
-    m = _as_counts(m)
-    if np.any(2 * m > big_n):
-        raise ValueError("falling ratio needs m <= N/2")
-    top = np.maximum(big_n, 1)  # N = 0 has m = 0, where every term vanishes
-    r = np.log1p(-m / top)
-    return -(top - m) * r - m - 0.5 * r + _stirling_tail(top) - _stirling_tail(top - m)
+    diff = x - mean
+    v = diff / (x + mean)
+    v2 = v * v
+    # atanh(v) - v = v^3 (1/3 + v^2/5 + ... + v^12/15); the rest is below
+    # |v|^15/17 < 6e-17 of D
+    series = 1.0 / 15.0
+    for odd in (13.0, 11.0, 9.0, 7.0, 5.0, 3.0):
+        series = series * v2 + 1.0 / odd
+    near = v * (diff + 2.0 * x * v2 * series)
+    far = x * np.log1p((np.where(x > 0, x, mean) - mean) / mean) - diff
+    return np.where(np.abs(v) < 0.1, near, far)
 
 
-def log_binomial(big_n, k):
-    """log binom(N, k) for integers 0 <= k <= N, elementwise: with
-    m = min(k, N-k) it is m ln N + log_falling_ratio(N, m) - log m!."""
-    big_n = _as_counts(big_n)
-    k = _as_counts(k)
-    if np.any(k > big_n):
-        raise ValueError("binomial needs k <= N")
-    m = np.minimum(k, big_n - k)
-    return m * np.log(np.maximum(big_n, 1)) + log_falling_ratio(big_n, m) - log_factorial(m)
+def _log_poisson(n, mag):
+    """log of the Poisson mass at integers n >= 0 with mean mag^2 > 0,
+    elementwise: -D(n, mag^2) - R(n).
+
+    Where mag^2 or n/mag^2 leaves the float range (mag below about 1e-154,
+    or mag^2 overflowing), the law of mean 1 is moved to mean mag^2 by
+    log P(n; m) = log P(n; 1) + n ln m - m + 1, with ln m = 2 ln mag.
+    """
+    mag = float(mag)
+    mean = mag * mag
+    if 0.0 < mean < math.inf and float(np.max(n)) / mean < math.inf:
+        return -_deviance(n, mean) - _stirling_remainder(n)
+    return (_log_poisson(n, 1.0) + 1.0) + (2.0 * math.log(mag) * n - mean)
 
 
 class DenseReads:
@@ -159,10 +140,10 @@ class DensityMatrix(DenseReads):
 def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n = 0..n_max.
 
-    Magnitudes are assembled as exp(log magnitude) with log_factorial; the
-    squared norm equals the Poisson CDF at n_max with mean
-    |alpha|^2, so truncation can only lose norm.  A non-finite alpha raises
-    ValueError.
+    Each magnitude is the square root of the Poisson mass at n with mean
+    |alpha|^2, taken as exp(log P / 2) from its deviance form; the squared
+    norm equals the Poisson CDF at n_max, so truncation can only lose norm.
+    A non-finite alpha raises ValueError.
     """
     return _coherent_window(alpha, 0, n_max)
 
@@ -178,19 +159,7 @@ def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
     n = np.arange(n_min, n_max + 1)
     if alpha == 0:
         return (n == 0).astype(complex)
-    mag = abs(alpha)
-    mean = mag * mag
-    if mean < DEVIANCE_FROM:
-        log_mag = -0.5 * mean + n * np.log(mag) - 0.5 * log_factorial(n)
-    else:
-        # -mean/2 + n ln|alpha| - log(n!)/2 with Stirling's log n! is
-        # -(D + ln(2 pi n)/2 + S(n))/2, D = n ln(n/mean) - (n - mean) the
-        # Poisson deviance; D is a few units where its terms are n ln n.
-        top = np.maximum(n, 1)
-        deviance = top * np.log1p((top - mean) / mean) - (top - mean)
-        log_mag = -0.5 * (deviance + _HALF_LOG_TWO_PI + 0.5 * np.log(top) + _stirling_tail(top))
-        log_mag = np.where(n == 0, -0.5 * mean, log_mag)
-    return np.exp(log_mag + 1j * np.angle(alpha) * n)
+    return np.exp(0.5 * _log_poisson(n, abs(alpha)) + 1j * np.angle(alpha) * n)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -234,9 +203,12 @@ def purity(rho) -> float:
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Hilbert-Schmidt (Frobenius) distance between two density matrices."""
+    """Hilbert-Schmidt (Frobenius) distance between two density matrices.
+    A non-finite entry in either raises ValueError."""
     if rho.basis != sigma.basis:
         raise ValueError(f"basis mismatch: {rho.basis!r} vs {sigma.basis!r}")
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError(f"dimension mismatch: {rho.matrix.shape} vs {sigma.matrix.shape}")
+    if not (np.isfinite(rho.matrix).all() and np.isfinite(sigma.matrix).all()):
+        raise ValueError("density matrix entries must be finite, got nan or inf")
     return float(np.linalg.norm(rho.matrix - sigma.matrix))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SizeLimitError, _clamp_unit, log_factorial, log_falling_ratio
+from .fock import SizeLimitError, _clamp_unit, _deviance, _log_poisson, _stirling_remainder
 
 __all__ = [
     "MAX_SPIN_N",
@@ -60,8 +60,10 @@ def params_from_modes(alpha: complex, beta: complex) -> SpinParams:
 
     phi_r = arg(alpha) - arg(beta) and xi = alpha / beta, so that
     spin_coherent(N, xi) reproduces every block of the two-mode state up to
-    a global phase.
+    a global phase.  A non-finite amplitude raises ValueError.
     """
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError(f"mode amplitudes must be finite, got ({alpha}, {beta})")
     if beta == 0:
         raise ValueError("relative phase is undefined for beta = 0")
     phi_r = float(np.angle(alpha) - np.angle(beta))
@@ -75,40 +77,47 @@ def spin_coherent(big_n: int, xi: complex) -> np.ndarray:
 
     amplitude(k) = sqrt(binom(N, k)) (1+|xi|^2)^{-N/2} xi^k,
 
-    unit norm by the binomial theorem.  Computed in log space.
+    unit norm by the binomial theorem.  Computed in log space.  A
+    non-finite xi raises ValueError.
     """
     if big_n < 0:
         raise ValueError(f"N must be >= 0, got {big_n}")
+    if not np.isfinite(xi):
+        raise ValueError(f"spin parameter xi must be finite, got {xi}")
     if xi == 0 or big_n == 0:
         amps = np.zeros(big_n + 1, dtype=complex)
         amps[0] = 1.0
         return amps
     k = np.arange(big_n + 1)
-    mag = float(abs(xi)) * math.sqrt(big_n)
-    return np.exp(_log_spin_profile(big_n, mag, k) + 1j * np.angle(xi) * k)
+    return np.exp(_log_spin_profile(big_n, float(abs(xi)), k) + 1j * np.angle(xi) * k)
 
 
-def _log_spin_profile(big_n: int, mag: float, k: np.ndarray) -> np.ndarray:
-    """log |amplitude(k)| of the spin-N/2 coherent state with |xi| = mag/sqrt(N).
+def _log_spin_profile(big_n: int, xi_mag: float, k: np.ndarray) -> np.ndarray:
+    """log |amplitude(k)| of the spin-N/2 coherent state with |xi| = xi_mag > 0.
 
-    With m = min(k, N-k), binom(N, k) |xi|^{2k} is
-    N!/((N-m)! N^m) / m! * N^{m-k} mag^{2k}, so no term k ln N is formed
-    only to be cancelled (it is 0 for k <= N/2).
+    |amplitude(k)|^2 is the binomial mass of k in N trials with success
+    probability p = |xi|^2/(1+|xi|^2), q = 1 - p, in Loader's form
+    log Binom(k; N, p) = R(N) - R(k) - R(N-k) - D(k, Np) - D(N-k, Nq), with
+    Nq = N/(1+|xi|^2) and Np = Nq |xi|^2, so Np/Nq is |xi|^2 to one rounding.
     """
-    m = np.minimum(k, big_n - k)
-    log_weight = log_falling_ratio(big_n, m) - log_factorial(m)
-    log_weight += (m - k) * math.log(big_n) + 2 * k * math.log(mag)
-    xi2 = mag * mag / big_n
-    # past |mag| ~ 1e154 the square overflows, where log1p(xi2) is log(xi2)
-    log_norm = math.log1p(xi2) if math.isfinite(xi2) else 2 * math.log(mag) - math.log(big_n)
-    return 0.5 * log_weight - 0.5 * big_n * log_norm
+    xi2 = xi_mag * xi_mag
+    if xi2 == math.inf:  # the binomial is symmetric under k, xi -> N-k, 1/xi
+        return _log_spin_profile(big_n, 1.0 / xi_mag, big_n - k)
+    remainders = _stirling_remainder(big_n) - _stirling_remainder(k)
+    remainders -= _stirling_remainder(big_n - k)
+    if xi2 > 0.0 and 1.0 / xi2 < math.inf:
+        nq = big_n / (1.0 + xi2)
+        return 0.5 * (remainders - _deviance(k, nq * xi2) - _deviance(big_n - k, nq))
+    # |xi|^2 underflows: Nq is N, and D(k, Np) is D(k, 1) - 1 - k ln(N |xi|^2) up to Np
+    moved = 1.0 + (math.log(big_n) + 2.0 * math.log(xi_mag)) * k - _deviance(k, 1.0)
+    return 0.5 * (remainders - _deviance(big_n - k, big_n) + moved)
 
 
 def _poisson_window(center: float, below: float, above: float, n_max: int):
     """Integer edges (lo, hi) of the photon numbers center - below ...
     center + above, clipped to [0, n_max]: the window of a Poisson-like
     profile peaked at center.  above = inf keeps every n up to n_max."""
-    lo = min(n_max, max(0, math.floor(center - below)))
+    lo = min(n_max, math.floor(max(0.0, center - below)))
     hi = n_max if center + above >= n_max else math.ceil(center + above)
     return lo, hi
 
@@ -141,7 +150,11 @@ def _log_wh_window(z: complex, big_n: int):
     k = _wh_window(z, big_n)
     if z == 0:
         return k, np.zeros(1)
-    log_w = k * math.log(abs(z)) - 0.5 * log_factorial(k)
+    mag = float(abs(z))
+    if math.isfinite(mag * mag):
+        log_w = 0.5 * _log_poisson(k, mag)
+    else:  # |z|^2 overflows: the same profile up to a constant, from mean 1
+        log_w = 0.5 * _log_poisson(k, 1.0) + math.log(mag) * k
     return k, log_w - log_w.max()
 
 
@@ -175,6 +188,6 @@ def contraction_overlap(z: complex, big_n: int) -> float:
     k, log_w = _log_wh_window(z, big_n)
     if z == 0:
         return 1.0
-    log_s = _log_spin_profile(big_n, float(abs(z)), k)
+    log_s = _log_spin_profile(big_n, float(abs(z)) / math.sqrt(big_n), k)
     cross = np.sum(np.exp(log_w + log_s))
     return _clamp_unit(float(cross * cross / np.sum(np.exp(2.0 * log_w))))

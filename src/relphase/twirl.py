@@ -121,12 +121,14 @@ def two_point_prior(phi1: float, phi2: float) -> PriorGrid:
 def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION) -> PriorGrid:
     """Concentrated prior with weights proportional to exp(kappa cos(phi))
     on n_points equally spaced angles.  The exponent is shifted by its
-    maximum, so no finite kappa can overflow or underflow every weight."""
+    maximum, so no finite kappa can overflow or underflow every weight.
+    The shift is taken in halves, which cannot overflow, and floored where
+    e^{2 x} is 0 anyway; elsewhere 2 x is the shifted exponent exactly."""
     if not np.isfinite(kappa):
         raise ValueError(f"von Mises kappa must be finite, got {kappa!r}")
     angles = TWO_PI * np.arange(n_points) / n_points
-    exponent = kappa * np.cos(angles)
-    weights = np.exp(exponent - exponent.max())
+    half = 0.5 * kappa * np.cos(angles)
+    weights = np.exp(2.0 * np.maximum(half - half.max(), -1000.0))
     return PriorGrid(angles=angles, weights=weights / weights.sum())
 
 

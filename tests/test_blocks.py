@@ -83,14 +83,30 @@ class TestToBlocks:
             grid /= np.linalg.norm(grid)
             assert to_blocks(grid).norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_peak_entry_is_real_positive(self):
-        blocks = to_blocks(two_mode_coherent(1 * np.exp(0.9j), 2 * np.exp(-0.3j), 20, 30))
+    @staticmethod
+    def assert_peaks_real_positive(blocks):
+        # the peak is the lowest k whose magnitude ties the largest to 1e-14
         for weight, vec in zip(blocks.weights, blocks.vectors):
             if weight == 0:
                 continue
-            peak = vec[np.argmax(np.abs(vec))]
+            size = np.abs(vec)
+            peak = vec[np.flatnonzero(size >= (1.0 - 1e-14) * size.max())[0]]
             assert abs(peak.imag) < 1e-15
             assert peak.real > 0
+
+    def test_peak_entry_is_real_positive(self):
+        # blocks 9 and 19 hold magnitude ties, as (N+1)p is an integer there
+        grid = two_mode_coherent(1 * np.exp(0.9j), 2 * np.exp(-0.3j), 20, 30)
+        self.assert_peaks_real_positive(to_blocks(grid))
+
+    @pytest.mark.parametrize("theta", [(4.002148315014479, 1.6951199159934145), (0.2, 0.1)])
+    def test_magnitude_tie_goes_to_lowest_k(self, theta):
+        # block N = 1 holds two equal magnitudes; dividing by the phase of
+        # either moves the other by an ulp, which must not move the peak
+        grid = np.array([[0, np.exp(1j * theta[0])], [np.exp(1j * theta[1]), 0]]) / math.sqrt(2)
+        blocks = to_blocks(grid)
+        self.assert_peaks_real_positive(blocks)
+        assert blocks.vectors[1][0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_block_amplitudes_reconstruct_grid(self):
         grid = two_mode_coherent(0.8 * np.exp(-0.5j), 1.5 * np.exp(0.2j), 12, 18)

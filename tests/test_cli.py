@@ -203,6 +203,33 @@ class TestTwirlDemo:
 @pytest.mark.parametrize(
     "args",
     [
+        ("twirl-demo", "--prior", "vonmises:-1e308", "--n-max", "3"),
+        ("twirl-demo", "--prior", "vonmises:1e308", "--n-max", "3"),
+        ("way-demo", "--prior", "vonmises:-1e308"),
+        ("way-demo", "--prior", "vonmises:1e308"),
+        ("twirl-demo", "--alpha", "1e-200"),
+        ("factorize-sweep", "--alpha", "1e-200", "--beta-list", "1"),
+        ("contract-overlap", "--z", "1e155"),
+        ("contract-overlap", "--z", "1.7e308", "--n-grid", "5"),
+    ],
+    ids=[
+        "twirl-kappa-", "twirl-kappa+", "way-kappa-", "way-kappa+", "twirl-alpha", "alpha", "z",
+        "z-max",
+    ],
+)
+def test_extreme_inputs_run_silently(args):
+    # kappa = +-1e308 must not overflow the von Mises shift; the squares of
+    # tiny and huge amplitudes under- or overflow, and at |z| = 1.7e308 so
+    # does the WH window's half-width 56 |z|
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert parse_csv(result.stdout)[2]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("twirl-demo", "--prior", "point:inf"),
         ("twirl-demo", "--prior", "vonmises:nan"),
         ("way-demo", "--prior", "point:inf"),

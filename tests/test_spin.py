@@ -15,12 +15,16 @@ from relphase import (
     to_blocks,
     two_mode_coherent,
 )
-from relphase.fock import log_factorial
-from relphase.spin import MAX_SPIN_N, _log_wh_window
+from relphase.spin import MAX_SPIN_N, _log_spin_profile, _log_wh_window
 
 from conftest import FIXTURES
 
-STRESS = json.loads((FIXTURES / "oracle_stress.json").read_text())["contraction_overlap_stress"]
+STRESS_FIXTURES = json.loads((FIXTURES / "oracle_stress.json").read_text())
+STRESS = STRESS_FIXTURES["contraction_overlap_stress"]
+PROFILE_ROWS = STRESS_FIXTURES["contraction_overlap_profile"]
+SPIN_PROFILE_ROWS = STRESS_FIXTURES["spin_log_profile"]
+# math.lgamma(k + 1) for k = 0..200000, the largest N the window test draws
+LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(200_001)])
 
 
 def full_contraction_overlap(z, big_n):
@@ -63,6 +67,11 @@ class TestParamsFromModes:
         with pytest.raises(ValueError, match="beta"):
             params_from_modes(1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_amplitude_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be finite, got"):
+            params_from_modes(alpha, beta)
+
 
 class TestSpinCoherent:
     def test_south_pole(self):
@@ -92,6 +101,18 @@ class TestSpinCoherent:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             spin_coherent(-1, 0.2)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_parameter_rejected(self, xi):
+        with pytest.raises(ValueError, match="must be finite, got"):
+            spin_coherent(5, xi)
+
+    def test_extreme_parameters(self):
+        # |xi|^2 over- and underflows, and the terms that stay representable
+        # come out of exp(-460), which carries 460 ulps of its argument
+        root3 = math.sqrt(3) * 1e-200
+        np.testing.assert_allclose(spin_coherent(3, 1e200), [0, 0, root3, 1], rtol=1e-13)
+        np.testing.assert_allclose(spin_coherent(3, 1e-200), [1, root3, 0, 0], rtol=1e-13)
 
 
 class TestEmbedWh:
@@ -172,7 +193,7 @@ class TestContractionOverlap:
     @given(mag=st.floats(1e-6, 1000.0), big_n=st.integers(1, 200_000))
     def test_entries_outside_window_underflow(self, mag, big_n):
         k = np.arange(big_n + 1)
-        full = k * math.log(mag) - 0.5 * log_factorial(k)
+        full = k * math.log(mag) - 0.5 * LOG_FACTORIALS[k]
         full -= full.max()
         window, log_w = _log_wh_window(mag, big_n)
         assert np.allclose(log_w, full[window], rtol=0, atol=1e-9)
@@ -183,6 +204,20 @@ class TestContractionOverlap:
     @pytest.mark.parametrize("row", STRESS, ids=[f"z{r['z']}-N{r['N']}" for r in STRESS])
     def test_matches_stress_oracle(self, row):
         assert contraction_overlap(row["z"], row["N"]) == pytest.approx(row["overlap"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "row", PROFILE_ROWS, ids=[f"z{r['z']}-N{r['N']}" for r in PROFILE_ROWS]
+    )
+    def test_matches_profile_oracle(self, row):
+        # log profiles summed from terms of size k ln k lost 6e-14 and 3e-13 here
+        assert contraction_overlap(row["z"], row["N"]) == pytest.approx(row["overlap"], abs=1e-15)
+
+    def test_spin_log_profile_matches_oracle(self):
+        # N = 10**5, |xi| = 0.8: binomial terms of size k ln k lost 8e-12 near the peak
+        for row in SPIN_PROFILE_ROWS:
+            got = float(_log_spin_profile(row["N"], row["xi"], np.array([row["k"]]))[0])
+            want = row["log_amplitude"]
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), row["k"]
 
     def test_large_amplitude_is_finite(self):
         # every raw WH weight up to N = 25 underflows at |z| = 50

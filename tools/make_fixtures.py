@@ -8,8 +8,9 @@ code with the library under src/.  Values are frozen into the JSON fixtures
 and asserted by the test suite; rerun this script only to audit them.  The
 stress file holds the factorization rows at |beta| = 64 and 100 (grids of
 22 x 4747 and 22 x 11011), at |beta| = 300 and 1000 (summed over the
-window of the grid only) and contraction overlaps up to N = 10**6 and at
-|z| = 50, kept apart so that oracle.json stays as it was.
+window of the grid only), contraction overlaps up to N = 10**6 and at
+|z| = 50, and the spin log-profile at N = 10**5, kept apart so that
+oracle.json stays as it was.
 
     pip install -e '.[fixtures]' && python tools/make_fixtures.py
 """
@@ -32,6 +33,14 @@ WINDOW_BETAS = [300, 1000]
 STRESS_CONTRACTION = [
     (1, 10**4), (1, 10**5), (1, 10**6), (2, 10**4), (2, 10**5), (2, 10**6), (50, 25)
 ]
+# Contraction overlaps checked to 1e-15, where log-profile terms of size
+# k ln k lose about 1e-13
+PROFILE_CONTRACTION = [(10, 10**5), (25, 10**5)]
+# Spin log-profile at N = 10**5, |xi| = 0.8 (peak near k = 39024, standard
+# deviation 154): the ends, the bulk either side, both tails and the peak
+SPIN_PROFILE_N = 10**5
+SPIN_PROFILE_XI = 0.8
+SPIN_PROFILE_K = [0, 1, 20000, 37500, 39024, 40500, 60000, 99999, 10**5]
 
 
 def poisson_tail(mean, n_max):
@@ -67,6 +76,14 @@ def contraction_overlap(z, big_n):
         cross += w * s
         wnorm2 += w * w
     return cross * cross / wnorm2
+
+
+def log_spin_profile(big_n, xi, k):
+    """log |s_k| of the spin-N/2 coherent state with |xi| = xi > 0:
+    (log binom(N, k) + k ln |xi|^2 - N ln(1 + |xi|^2)) / 2, with xi the
+    float the library is given, taken exactly."""
+    xi2 = mp.mpf(xi) ** 2
+    return (mp.log(mp.binomial(big_n, k)) + k * mp.log(xi2) - big_n * mp.log(1 + xi2)) / 2
 
 
 def cutoff(mag):
@@ -282,9 +299,23 @@ def main():
     contraction = [
         {"z": z, "N": n, "overlap": float(contraction_overlap(z, n))} for z, n in STRESS_CONTRACTION
     ]
+    profile_contraction = [
+        {"z": z, "N": n, "overlap": float(contraction_overlap(z, n))}
+        for z, n in PROFILE_CONTRACTION
+    ]
+    spin_profile = [
+        {"N": SPIN_PROFILE_N, "xi": SPIN_PROFILE_XI, "k": k,
+         "log_amplitude": float(log_spin_profile(SPIN_PROFILE_N, SPIN_PROFILE_XI, k))}
+        for k in SPIN_PROFILE_K
+    ]
     write(
         STRESS_OUT,
-        {"contraction_overlap_stress": contraction, "factorization_stress_alpha1": stress},
+        {
+            "contraction_overlap_stress": contraction,
+            "contraction_overlap_profile": profile_contraction,
+            "factorization_stress_alpha1": stress,
+            "spin_log_profile": spin_profile,
+        },
     )
 
 

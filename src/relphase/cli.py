@@ -33,6 +33,7 @@ from .lattice import (
 )
 from .spin import contraction_overlap
 from .twirl import (
+    _Gaussians,
     coherence_witness,
     expectation,
     parse_prior,
@@ -179,17 +180,18 @@ def cmd_twirl_demo(args) -> int:
     return EXIT_OK
 
 
-def _random_unit(rng, d: int) -> np.ndarray:
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return psi / np.linalg.norm(psi)
+def _random_units(draw, d: int, count: int) -> np.ndarray:
+    """``count`` Haar-random unit vectors in C^d, as rows, from one draw."""
+    psi = draw(count * d).reshape(count, d)
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def _way_scenarios(d: int, rng) -> dict:
-    """The way-demo input states by scenario name, drawn from rng in table order."""
+def _way_scenarios(d: int, draw) -> dict:
+    """The way-demo input states by scenario name, drawn in table order."""
     ket0 = np.eye(d, dtype=complex)[0]
     return {
-        "separable": relative_pair(_random_unit(rng, d), _random_unit(rng, d)),
-        "sum-entangled": sum_gate(relative_pair(_random_unit(rng, d), ket0)),
+        "separable": relative_pair(*_random_units(draw, d, 2)),
+        "sum-entangled": sum_gate(relative_pair(*_random_units(draw, d, 1), ket0)),
         "max-entangled": QuditPairState(np.eye(d, dtype=complex) / np.sqrt(d), view="relative"),
     }
 
@@ -198,10 +200,10 @@ def cmd_way_demo(args) -> int:
     dims = [_require_odd(d) for d in _list(args.dim_list, int, "integers")]
     prior_specs = args.priors or list(DEFAULT_WAY_PRIORS)
     rows = []
-    rng = np.random.default_rng(args.seed)
+    draw = _Gaussians(args.seed)
     for d in dims:
         priors = [(spec, shift_prior(spec, d)) for spec in prior_specs]
-        for scenario, state in _way_scenarios(d, rng).items():
+        for scenario, state in _way_scenarios(d, draw).items():
             for spec, prior in priors:
                 # rho_rel is the same under every prior, the point prior at
                 # X = 0 included, so its overlap with the input's is its purity

@@ -17,11 +17,12 @@ charge reads only same-charge entries, so its expectation is the same under
 every prior, bit for bit.
 """
 
+import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random import default_rng
 
 from .blocks import block_dim, block_index, block_offset
 
@@ -243,17 +244,17 @@ class PhaseTwirl:
 
 def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwirl:
     """The twirl of psi over charge labels q, with chi(m) = sum_g w_g
-    e^{-i phi_g m} tabulated once for |m| <= max q."""
+    e^{-i phi_g m} tabulated once for 0 <= m <= max q; chi(-m) is its
+    conjugate, the same bits as the sum for -m."""
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("input state must be normalized to 1e-10")
     span = labels.max()
-    m = np.arange(-span, span + 1)
     if isinstance(prior, UniformPrior):
-        chi = (m == 0).astype(complex)
+        half = np.zeros(span + 1, dtype=complex)
     else:
-        chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
-    chi[span] = 1.0  # the total weight, 1 to 1e-12 (_check_prior_weights)
-    return PhaseTwirl(psi, labels, chi, basis)
+        half = np.exp(-1j * np.outer(np.arange(span + 1), prior.angles)) @ prior.weights
+    half[0] = 1.0  # the total weight, 1 to 1e-12 (_check_prior_weights)
+    return PhaseTwirl(psi, labels, np.concatenate([half[:0:-1].conj(), half]), basis)
 
 
 def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
@@ -294,28 +295,62 @@ class Observable:
     basis: str
 
 
+class _Gaussians:
+    """Seeded complex Gaussian draws with independent N(0, 1) real and
+    imaginary parts: Box-Muller on pairs of 53-bit uniforms from the
+    standard library's Mersenne Twister, which the interpreter has loaded
+    anyway.  The seed must be a nonnegative integer (``random.Random``
+    would take -s as s)."""
+
+    def __init__(self, seed):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+        self._source = random.Random(seed)
+
+    def __call__(self, count: int) -> np.ndarray:
+        """The next ``count`` draws."""
+        bits = np.frombuffer(self._source.randbytes(16 * count), dtype="<u8") >> 11
+        u, v = (bits * 2.0**-53).reshape(2, count)  # uniform in [0, 1)
+        return np.sqrt(-2.0 * np.log1p(-u)) * np.exp(1j * (TWO_PI * v))
+
+
 def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> Observable:
     """Seeded Hermitian observable commuting with total photon number.
 
     ``"fock"`` gives a random real diagonal over n = 0..n_max; ``"block"``
     gives independent random Hermitian blocks over k = 0..N for each
     N <= n_max, stored as the (N+1)^2 entries of each block in turn.  Zero
-    coherence between number sectors by construction.
+    coherence between number sectors by construction.  ``seed`` is a
+    nonnegative integer; entries are Gaussian, N(0, 1) on the diagonal and
+    N(0, 1/2) in each part off it.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rng = default_rng(seed)
+    draw = _Gaussians(seed)
     if basis == "fock":
-        diagonal = rng.standard_normal(n_max + 1)
+        diagonal = draw(n_max + 1).real
         return Observable(np.diag_indices(n_max + 1), diagonal, n_max + 1, basis)
     if basis == "block":
-        positions, values = [], []
+        # one draw z per entry on or above each block's diagonal, row by row;
+        # H = (T + T^dag) / 2 with T_kk = z and T_kl = sqrt(2) z above it, so
+        # H_kk = Re z is N(0, 1) and H_kl = H_lk^* has N(0, 1/2) parts
+        above = np.tri(n_max + 1, dtype=bool).T
+        scale = np.where(np.eye(n_max + 1, dtype=bool), 1.0, np.sqrt(2.0))
+        draws = draw((n_max + 1) * (n_max + 2) * (n_max + 3) // 6)
+        n_entries = (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
+        index, values = np.empty((2, n_entries), dtype=int), np.empty(n_entries, dtype=complex)
+        drawn = stored = 0
         for size in range(1, n_max + 2):
-            raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            positions.append(block_offset(size - 1) + np.indices((size, size)).reshape(2, -1))
-            values.append(((raw + raw.conj().T) / 2.0).ravel())
-        rows, cols = np.concatenate(positions, axis=1)
-        return Observable((rows, cols), np.concatenate(values), block_dim(n_max), basis)
+            upper = np.zeros((size, size), dtype=complex)
+            upper[above[:size, :size]] = draws[drawn : drawn + size * (size + 1) // 2]
+            upper *= scale[:size, :size]
+            block = slice(stored, stored + size * size)
+            index[:, block] = block_offset(size - 1) + np.indices((size, size)).reshape(2, -1)
+            values[block] = ((upper + upper.conj().T) / 2.0).ravel()
+            drawn += size * (size + 1) // 2
+            stored += size * size
+        return Observable((index[0], index[1]), values, block_dim(n_max), basis)
     raise ValueError(f"unknown observable basis {basis!r}")
 
 

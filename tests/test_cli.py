@@ -460,3 +460,106 @@ class TestOutputContract:
         from relphase import contraction_overlap
 
         assert float(rows[0]["overlap"]) == contraction_overlap(1, 100)
+
+
+class TestSeededContent:
+    """Seeded draws come from the standard library's Mersenne Twister, so no
+    run loads numpy.random or the OpenSSL-backed modules its seeding uses."""
+
+    ENTROPY_MODULES = ("numpy.random", "secrets", "hmac", "_hashlib")
+
+    def test_no_entropy_modules_loaded(self):
+        script = (
+            "import json, os, sys\n"
+            f"names = {self.ENTROPY_MODULES!r}\n"
+            "import relphase\n"
+            "from relphase.cli import main\n"
+            "after_import = [name for name in names if name in sys.modules]\n"
+            "for command in ('twirl-demo', 'way-demo'):\n"
+            "    assert main([command, '--out', os.devnull]) == 0\n"
+            "print(json.dumps([after_import, [name for name in names if name in sys.modules]]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[], []]
+
+    @pytest.mark.parametrize(
+        "args", [("twirl-demo", "--seed", "-1"), ("way-demo", "--seed", "-1")], ids=["twirl", "way"]
+    )
+    def test_negative_seed_is_config_error(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.strip().splitlines() == [
+            "relphase: seed must be a nonnegative integer, got -1"
+        ]
+
+    def test_negative_seed_unused_by_factorize_sweep(self):
+        result = run_cli("factorize-sweep", "--alpha", "1", "--beta-list", "2", "--seed", "-1")
+        assert result.returncode == 0, result.stderr
+
+    # Seed-independent text as the CLI printed it while the draws still came
+    # from numpy.random (x86-64, numpy 2.4); the change of generator must not
+    # move a digit of it.  (arguments, marker of the rows compared or None
+    # for the whole text, lines)
+    SEED_INDEPENDENT = [
+        (
+            ("factorize-sweep", "--alpha", "1", "--beta-list", "2,4"),
+            None,
+            [
+                '# config {"alpha": 1.0, "alpha_phase": 0.0, "beta_list": [2.0, 4.0], '
+                '"beta_phase": 0.0, "command": "factorize-sweep", "n1_max": null, '
+                '"n2_max": null, "output": "csv", "seed": 0}',
+                "alpha_mag,alpha_phase,beta_mag,beta_phase,n1_max,n2_max,condition_ratio,"
+                "pure_fidelity,twirled_hs_distance,relative_state_overlap",
+                "1.0,0.0,2.0,0.0,21,34,5.0,0.9536700970189111,0.08829664060570314,"
+                "0.9542676999532715",
+                "1.0,0.0,4.0,0.0,21,66,17.0,0.9841699125471003,0.03378998981181086,"
+                "0.9842919356124444",
+            ],
+        ),
+        (
+            ("contract-overlap", "--z", "1", "--n-grid", "25,50"),
+            None,
+            [
+                '# config {"command": "contract-overlap", "n_grid": [25, 50], "output": "csv", '
+                '"seed": 0, "z": 1.0, "z_phase": 0.0}',
+                "z_mag,z_phase,N,overlap",
+                "1.0,0.0,25,0.99941144592827",
+                "1.0,0.0,50,0.9998514656293476",
+            ],
+        ),
+        (
+            ("twirl-demo", "--alpha", "1", "--seed", "7"),
+            ",control,",
+            [
+                "uniform,control,0.0",
+                "point:0.0,control,0.7357588823428847",
+                '"twopoint:0.0,3.141592653589793",control,0.0',
+                "vonmises:4.0,control,0.6353444311652331",
+            ],
+        ),
+        (
+            ("way-demo", "--dim-list", "3,5", "--seed", "7"),
+            ",max-entangled,",
+            [
+                "3,max-entangled,uniform,0.33333333333333354,0.33333333333333354",
+                "3,max-entangled,point:1,0.33333333333333354,0.33333333333333354",
+                '3,max-entangled,"twopoint:0,2",0.33333333333333354,0.33333333333333354',
+                "3,max-entangled,vonmises:4.0,0.33333333333333354,0.33333333333333354",
+                "5,max-entangled,uniform,0.19999999999999996,0.19999999999999996",
+                "5,max-entangled,point:1,0.19999999999999996,0.19999999999999996",
+                '5,max-entangled,"twopoint:0,2",0.19999999999999996,0.19999999999999996',
+                "5,max-entangled,vonmises:4.0,0.19999999999999996,0.19999999999999996",
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "args, marker, lines", SEED_INDEPENDENT, ids=["factorize", "contract", "twirl", "way"]
+    )
+    def test_seed_independent_text_unchanged(self, args, marker, lines):
+        result = run_cli(*args)
+        assert result.returncode == 0, result.stderr
+        printed = result.stdout.splitlines()
+        assert [line for line in printed if marker is None or marker in line] == lines

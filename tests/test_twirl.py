@@ -28,7 +28,7 @@ from relphase import (
     von_mises_prior,
 )
 from relphase.blocks import block_dim, block_offset
-from relphase.twirl import PhaseTwirl, _twirl
+from relphase.twirl import PhaseTwirl, _Gaussians, _twirl
 
 from conftest import random_state_vector
 
@@ -95,15 +95,20 @@ def from_dense(matrix, basis):
 
 def dense_commutant_observable(n_max, seed, basis="fock"):
     """Reference: the dense commutant matrices that random_commutant_observable
-    built before observables kept only their nonzero entries."""
-    rng = np.random.default_rng(seed)
+    built before observables kept only their nonzero entries, from the same
+    seeded draws in the same order."""
+    draw = _Gaussians(seed)
     if basis == "fock":
-        return np.diag(rng.standard_normal(n_max + 1)).astype(complex)
+        return np.diag(draw(n_max + 1).real).astype(complex)
     dim = block_dim(n_max)
     matrix = np.zeros((dim, dim), dtype=complex)
+    draws = draw(sum((big_n + 1) * (big_n + 2) // 2 for big_n in range(n_max + 1)))
     for big_n in range(n_max + 1):
         size = big_n + 1
-        raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        rows, cols = np.triu_indices(size)
+        raw = np.zeros((size, size), dtype=complex)
+        raw[rows, cols] = draws[: rows.size] * np.where(rows == cols, 1.0, np.sqrt(2.0))
+        draws = draws[rows.size :]
         lo = block_offset(big_n)
         matrix[lo : lo + size, lo : lo + size] = (raw + raw.conj().T) / 2.0
     return matrix
@@ -632,3 +637,58 @@ class TestFactoredTwirl:
             tracemalloc.stop()
         assert peak < rho.psi.size**2 * 16 / 8
         assert "matrix" not in vars(rho)
+
+
+def full_chi(span, prior):
+    """Reference: chi(m) for -span <= m <= span in one product over the
+    whole table, as the twirl tabulated it before it took chi(-m) as the
+    conjugate of chi(m)."""
+    m = np.arange(-span, span + 1)
+    if isinstance(prior, UniformPrior):
+        chi = (m == 0).astype(complex)
+    else:
+        chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
+    chi[span] = 1.0
+    return chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(prior=priors_st, span=st.one_of(st.integers(0, 64), st.integers(65, 2895)))
+def test_chi_half_table_matches_full_table(prior, span):
+    psi = np.zeros(span + 1, dtype=complex)
+    psi[0] = 1.0
+    assert np.array_equal(twirl_single_mode(psi, prior).chi, full_chi(span, prior))
+
+
+class TestSeededDraws:
+    """The one seeded generator behind every random observable and state."""
+
+    def test_complex_gaussian_law(self):
+        n = 10**5
+        draws = _Gaussians(2024)(n)
+        assert draws.shape == (n,)
+        for part in (draws.real, draws.imag):
+            assert abs(part.mean()) <= 5 / math.sqrt(n)
+            assert abs(part.var() - 1.0) <= 5 * math.sqrt(2 / n)
+        assert abs(np.corrcoef(draws.real, draws.imag)[0, 1]) <= 5 / math.sqrt(n)
+
+    def test_block_observable_law(self):
+        # the law of (X + X^dag) / 2 with X_kl = N(0, 1) + i N(0, 1): the
+        # diagonal N(0, 1), each part above it N(0, 1/2)
+        obs = random_commutant_observable(200, seed=5, basis="block")
+        rows, cols = obs.index
+        diagonal = obs.values[rows == cols]
+        assert np.all(diagonal.imag == 0.0)
+        above = obs.values[rows < cols]
+        for part, variance in ((diagonal.real, 1.0), (above.real, 0.5), (above.imag, 0.5)):
+            # the mean is known to be 0, so the mean square estimates the variance
+            assert abs(np.mean(part**2) - variance) <= 5 * variance * math.sqrt(2 / part.size)
+
+    @pytest.mark.parametrize("basis", ["fock", "block"])
+    def test_seed_contract(self, basis):
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_commutant_observable(4, -1, basis)
+        with pytest.raises(TypeError):
+            random_commutant_observable(4, 1.5, basis)
+        numpy_seed = random_commutant_observable(4, np.int64(9), basis)
+        assert np.array_equal(numpy_seed.values, random_commutant_observable(4, 9, basis).values)

@@ -107,6 +107,7 @@ def cli(*argv):
 CASES = [
     process("tier-1 suite", "tests/", SUITE),
     process("python -c pass", "-", "pass"),
+    process("import numpy; import relphase", "cold start", "import numpy\nimport relphase"),
     process(
         "CLI contract-overlap", "1 point", cli("contract-overlap", "--z", "1", "--n-grid", "25")
     ),
@@ -166,6 +167,11 @@ CASES = [
         "CLI twirl-demo --n-max 2895 --n-observables 1 --prior uniform",
         "at the grid limit",
         cli("twirl-demo", "--n-max", "2895", "--n-observables", "1", "--prior", "uniform"),
+    ),
+    process(
+        "CLI twirl-demo --n-max 2895",
+        "4 default priors",
+        cli("twirl-demo", "--n-max", "2895"),
     ),
     process("CLI way-demo --dim-list 1001", "d = 1001", cli("way-demo", "--dim-list", "1001")),
     process(

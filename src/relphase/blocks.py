@@ -130,17 +130,24 @@ class BlockState:
         return float(np.sqrt(sum(abs(w) ** 2 for w in self.weights)))
 
 
+def _block_ket(state: np.ndarray) -> tuple:
+    """(ket, n_top): the entries of an (n1, n2) grid scattered to the flat
+    block index block_offset(N) + n1 of blocks N = 0..n_top, zero where a
+    block reaches outside the grid."""
+    state = np.asarray(state, dtype=complex)
+    n_top = sum(state.shape) - 2
+    ket = np.zeros(block_dim(n_top), dtype=complex)
+    ket[block_index(state.shape)] = state
+    return ket, n_top
+
+
 def to_blocks(state: np.ndarray) -> BlockState:
     """Reindex an (n1, n2) grid into total/difference blocks.
 
     Block N collects amplitude(n1=k, n2=N-k) over k = 0..N; entries whose
     (n1, n2) fall outside the grid are zero.  The reindexing is an isometry.
     """
-    state = np.asarray(state, dtype=complex)
-    index = block_index(state.shape)
-    n_top = sum(state.shape) - 2
-    flat = np.zeros(block_dim(n_top), dtype=complex)
-    flat[index] = state
+    flat, n_top = _block_ket(state)
     weights = np.zeros(n_top + 1, dtype=complex)
     vectors = []
     for big_n, raw in enumerate(np.split(flat, block_offset(np.arange(1, n_top + 1)))):

@@ -75,26 +75,19 @@ def _grid_shape(state: np.ndarray) -> tuple:
     return state.shape
 
 
-def _row_blocks(shape) -> list:
-    """(start, stop) of the blocks of whole rows of an (R, C) grid that the
-    sector reductions take at once: CHUNK_ENTRIES entries at most, or one
-    row if a row is longer."""
-    rows, cols = shape
-    step = max(1, CHUNK_ENTRIES // max(cols, 1))
-    return [(start, min(start + step, rows)) for start in range(0, rows, step)]
-
-
-def _by_sector(values: np.ndarray, start: int, stop: int, cols: int) -> np.ndarray:
-    """A per-sector vector read at the sector label of each entry of rows
-    start..stop-1: the view whose entry (i, j) is values[start + i + j]."""
-    return np.lib.stride_tricks.sliding_window_view(values[start : stop + cols - 1], cols)
+def _by_sector(values: np.ndarray, rows: slice, cols: int) -> np.ndarray:
+    """A per-sector vector read at the sector label of each entry of the rows
+    ``rows`` (a slice with start and stop set): the view whose entry (i, j)
+    is values[rows.start + i + j]."""
+    return np.lib.stride_tricks.sliding_window_view(values[rows.start : rows.stop + cols - 1], cols)
 
 
 def _sector_sums(shape, block_values, dtype=float) -> np.ndarray:
     """Sum over the entries of each sector of the values that
-    ``block_values(start, stop)`` gives for rows start..stop-1; entry
+    ``block_values(rows)`` gives for the rows of the slice ``rows``; entry
     (i, j) lies in sector i + j, the total photon number less lo1 + lo2 on
-    the window from (lo1, lo2).
+    the window from (lo1, lo2).  The rows are taken in blocks of
+    CHUNK_ENTRIES entries at most, or one row if a row is longer.
 
     Each block is laid into a buffer skewed by one column per line of its
     shorter axis, whose column sums are its sector sums (the label i + j is
@@ -103,9 +96,11 @@ def _sector_sums(shape, block_values, dtype=float) -> np.ndarray:
     bincount over the row-major labels would.
     """
     rows, cols = shape
+    step = max(1, CHUNK_ENTRIES // max(cols, 1))
     sums = np.zeros(rows + cols - 1, dtype)
-    for start, stop in _row_blocks(shape):
-        values = block_values(start, stop)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        values = block_values(slice(start, stop))
         if values.shape[0] > values.shape[1]:
             values = values.T
         skewed = np.zeros((values.shape[0], sum(values.shape) - 1), dtype)
@@ -150,12 +145,7 @@ def _product_grid(
     n_lo, n_top = lo1 + lo2, n1_max + n2_max
     poisson = _coherent_window(math.sqrt(nhat) * collective_phase, n_lo, n_top)
     wh, inv_norm = _wh_profile(z, lo1, n1_max, n_lo, n_top)
-    sector = poisson * inv_norm
-    cols = n2_max - lo2 + 1
-    grid = np.empty((wh.size, cols), dtype=complex)
-    for start, stop in _row_blocks(grid.shape):
-        rows = grid[start:stop]
-        np.multiply(_by_sector(sector, start, stop, cols), wh[start:stop, None], out=rows)
+    grid = _by_sector(poisson * inv_norm, slice(0, wh.size), n2_max - lo2 + 1) * wh[:, None]
     return grid, float(np.vdot(grid, grid).real)
 
 
@@ -194,57 +184,46 @@ def approx_product_balanced(alpha: complex, phi_r: float, n_max=None) -> np.ndar
     return grid / math.sqrt(mass)
 
 
+def _conj_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^* y entry by entry, from real products: y = x gives exactly
+    x.real**2 + x.imag**2 + 0j, which a fused complex multiply does not."""
+    return x.real * y.real + x.imag * y.imag + 1j * (x.real * y.imag - x.imag * y.real)
+
+
 def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     """Hilbert-Schmidt distance between the uniform phase twirls of two
     normalized two-mode pure states.
 
     The uniform twirl block-diagonalizes both, so the squared distance
-    splits into rank-one pieces per total photon number N.  Each piece is
-    evaluated in the 2-D span of the unit block vectors v, w via the
-    orthogonal residual r = w - g v, g = <v, w>, which keeps nearly
-    identical blocks from cancelling catastrophically:
-    ||p_a v v^dag - p_b w w^dag||^2 = (p_a - p_b |g|^2)^2
-                                      + 2 p_b^2 |g|^2 ||r||^2 + p_b^2 ||r||^4.
-    An empty block has v = 0, so g = 0 and ||r||^2 = ||w||^2.  Only the
-    relative sector label matters, so the grids may be any common window
-    of the (n1, n2) plane.
+    splits into rank-one pieces per total photon number N.  With x, y the
+    entries of block N in the two states, p_a = ||x||^2, p_b = ||y||^2 and
+    c = <x, y> / p_a, each piece is
+    ||x x^dag - y y^dag||^2 = (p_a - p_b)^2 + 2 p_a ||y - c x||^2,
+    with the residual y - c x summed entry by entry, so nearly identical
+    blocks do not cancel catastrophically and identical ones give 0.  A
+    block with p_a below the smallest normal float counts as empty (c = 0,
+    a piece p_a^2 + p_b^2): such a p_a has lost bits to underflow, and the
+    term dropped, 2 |<x, y>|^2 <= 2 p_a p_b, is below 5e-308.  Only the
+    relative sector label matters, so the grids may be any common window of
+    the (n1, n2) plane.
     """
-    state_a = np.asarray(state_a, dtype=complex)
-    state_b = np.asarray(state_b, dtype=complex)
-    if state_a.shape != state_b.shape:
-        raise ValueError(f"grid shape mismatch: {state_a.shape} vs {state_b.shape}")
-    shape = _grid_shape(state_a)
-    cols = shape[1]
-
-    def masses_and_units(state):
-        mass = _sector_sums(shape, lambda start, stop: np.abs(state[start:stop]) ** 2)
-        norm = np.sqrt(mass)
-        inv_norm = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
-
-        def unit(start, stop):
-            return state[start:stop] * _by_sector(inv_norm, start, stop, cols)
-
-        return mass, unit
-
-    pa, unit_a = masses_and_units(state_a)
-    pb, unit_b = masses_and_units(state_b)
-
-    def gram_terms(start, stop):
-        return unit_a(start, stop).conj() * unit_b(start, stop)
-
-    def residual_terms(start, stop):
-        gram_at = _by_sector(gram, start, stop, cols)
-        return np.abs(unit_b(start, stop) - gram_at * unit_a(start, stop)) ** 2
-
-    gram = _sector_sums(shape, gram_terms, complex)
-    residual2 = _sector_sums(shape, residual_terms)
-    overlap2 = np.abs(gram) ** 2
-    hs2 = np.sum(
-        (pa - pb * overlap2) ** 2
-        + 2.0 * pb * pb * overlap2 * residual2
-        + pb * pb * residual2 * residual2
+    a = np.asarray(state_a, dtype=complex)
+    b = np.asarray(state_b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
+    shape = _grid_shape(a)
+    pa = _sector_sums(shape, lambda rows: a[rows].real ** 2 + a[rows].imag ** 2)
+    pb = _sector_sums(shape, lambda rows: b[rows].real ** 2 + b[rows].imag ** 2)
+    cross = _sector_sums(shape, lambda rows: _conj_products(a[rows], b[rows]), complex)
+    # real and imaginary parts apart: a complex division rounds c = 1 off 1
+    c = np.zeros_like(cross)
+    filled = pa >= np.finfo(float).tiny
+    np.divide(cross.real, pa, out=c.real, where=filled)
+    np.divide(cross.imag, pa, out=c.imag, where=filled)
+    residual2 = _sector_sums(
+        shape, lambda rows: np.abs(b[rows] - _by_sector(c, rows, shape[1]) * a[rows]) ** 2
     )
-    return math.sqrt(max(float(hs2), 0.0))
+    return math.sqrt(float(np.sum((pa - pb) ** 2 + 2.0 * pa * residual2)))
 
 
 def relative_state_overlap(state: np.ndarray, z: complex) -> float:
@@ -268,9 +247,7 @@ def _relative_overlap(state: np.ndarray, z: complex, lo1: int, lo2: int) -> floa
         raise ValueError("state has no populated blocks")
     n1_max = lo1 + shape[0] - 1
     wh, inv_norm = _wh_profile(z, lo1, n1_max, lo1 + lo2, n1_max + lo2 + shape[1] - 1)
-    cross = _sector_sums(
-        shape, lambda start, stop: state[start:stop].conj() * wh[start:stop, None], complex
-    )
+    cross = _sector_sums(shape, lambda rows: state[rows].conj() * wh[rows, None], complex)
     return _clamp_unit(float(np.sum(np.abs(cross * inv_norm) ** 2)) / mass)
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import block_dim, block_index, block_offset
+from .blocks import _block_ket, block_dim, block_offset
 
 __all__ = [
     "Observable",
@@ -257,11 +257,6 @@ def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwir
     return PhaseTwirl(psi, labels, np.concatenate([half[:0:-1].conj(), half]), basis)
 
 
-def _twirl(psi: np.ndarray, labels: np.ndarray, prior) -> np.ndarray:
-    """The dense matrix psi psi^dag (Schur) chi(q_i - q_j)."""
-    return _phase_twirl(psi, labels, prior, None).matrix
-
-
 def twirl_single_mode(psi: np.ndarray, prior) -> PhaseTwirl:
     """Average U(phi)|psi><psi|U(phi)^dag over the prior, where
     U(phi)|n> = e^{-i phi n}|n>: the charge label is the photon number n."""
@@ -273,11 +268,7 @@ def twirl_two_mode(state: np.ndarray, prior) -> PhaseTwirl:
     """Two-mode twirl in the block basis: the phase multiplies both modes,
     acting as e^{-i phi N} on each total-photon-number block, so the charge
     label is N.  Within-block structure is untouched by any prior."""
-    state = np.asarray(state, dtype=complex)
-    index = block_index(state.shape)
-    n_top = sum(state.shape) - 2
-    psi = np.zeros(block_dim(n_top), dtype=complex)
-    psi[index] = state
+    psi, n_top = _block_ket(state)
     labels = np.repeat(np.arange(n_top + 1), np.arange(1, n_top + 2))
     return _phase_twirl(psi, labels, prior, "block")
 

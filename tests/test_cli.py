@@ -96,6 +96,18 @@ class TestFactorizeSweep:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "precondition" in result.stderr
 
+    @pytest.mark.parametrize("alpha_phase, beta_phase", [("0", "0"), ("2", "0.5")])
+    def test_vanishing_alpha_distance_is_zero(self, alpha_phase, beta_phase):
+        # the exact and product grids differ only in rows at the 1e-200
+        # scale, so the distance squared underflows to 0
+        result = run_cli(
+            "factorize-sweep", "--alpha", "1e-200", "--alpha-phase", alpha_phase,
+            "--beta-list", "1,5,30", "--beta-phase", beta_phase,
+        )
+        assert result.returncode == 0
+        _, _, rows = parse_csv(result.stdout)
+        assert [float(row["twirled_hs_distance"]) for row in rows] == [0.0, 0.0, 0.0]
+
     def test_starved_cutoffs_exit_3(self):
         result = run_cli(
             "factorize-sweep", "--alpha", "1", "--beta-list", "4", "--n1-max", "2", "--n2-max", "5"

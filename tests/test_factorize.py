@@ -16,6 +16,7 @@ from relphase import (
     default_cutoff,
     embed_wh,
     factorization_fidelity,
+    mean_photon_number,
     relative_state_overlap,
     relative_target,
     sweep_fidelity,
@@ -26,6 +27,7 @@ from relphase import (
 )
 from relphase.blocks import MAX_GRID_ENTRIES
 from relphase.factorize import _product_grid, _relative_overlap
+from relphase.fock import _coherent_window
 
 from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, peak_mb
 
@@ -63,8 +65,8 @@ def loop_product_grid(nhat, collective_phase, z, n1_max, n2_max):
 
 
 def loop_twirled_hs_distance(state_a, state_b):
-    """Reference HS distance: the same residual formula, one BlockState block
-    at a time."""
+    """Reference HS distance: the unit-vector residual form, one BlockState
+    block at a time."""
     blocks_a = to_blocks(state_a)
     blocks_b = to_blocks(state_b)
     hs2 = 0.0
@@ -82,6 +84,38 @@ def loop_twirled_hs_distance(state_a, state_b):
             + pb * pb * residual2 * residual2
         )
     return math.sqrt(max(hs2, 0.0))
+
+
+def unit_vector_hs_distance(state_a, state_b):
+    """Reference HS distance: the unit-vector residual form that the kernel
+    had before its sector sums took the unnormalized blocks, with np.bincount
+    over the label N = n1 + n2.  With v, w the unit sector vectors,
+    g = <v, w> and r = w - g v, sector N gives
+    (p_a - p_b |g|^2)^2 + 2 p_b^2 |g|^2 ||r||^2 + p_b^2 ||r||^4; an empty
+    sector has v = 0, so g = 0 and ||r||^2 = ||w||^2."""
+    labels = np.add.outer(np.arange(state_a.shape[0]), np.arange(state_a.shape[1]))
+
+    def sector_sums(values):
+        return np.bincount(labels.ravel(), values.real.ravel()) + 1j * np.bincount(
+            labels.ravel(), values.imag.ravel()
+        )
+
+    def unit(state, mass):
+        norm = np.sqrt(mass)
+        return state * np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)[labels]
+
+    pa = sector_sums(np.abs(state_a) ** 2).real
+    pb = sector_sums(np.abs(state_b) ** 2).real
+    v, w = unit(state_a, pa), unit(state_b, pb)
+    gram = sector_sums(v.conj() * w)
+    residual2 = sector_sums(np.abs(w - gram[labels] * v) ** 2).real
+    overlap2 = np.abs(gram) ** 2
+    hs2 = np.sum(
+        (pa - pb * overlap2) ** 2
+        + 2.0 * pb * pb * overlap2 * residual2
+        + pb * pb * residual2 * residual2
+    )
+    return math.sqrt(max(float(hs2), 0.0))
 
 
 def loop_relative_state_overlap(state, z):
@@ -140,6 +174,46 @@ def test_twirled_hs_distance_matches_block_loop(pair):
     want = loop_twirled_hs_distance(state_a, state_b)
     assert abs(twirled_hs_distance(state_a, state_b) - want) <= 1e-13
     assert abs(twirled_hs_distance(state_a, state_a)) <= 1e-13
+
+
+@st.composite
+def window_grid_pairs(draw):
+    """Two normalized grids on one window: the exact and product grids of a
+    factorization window from (lo1, lo2), or a grid_pairs() pair (with
+    emptied sectors, some in one state only).  Either kind may have row n1
+    scaled by s^n1 for one s near 1e-200 in both states, as alpha = 1e-200
+    gives: the grids then agree except in rows at the 1e-200 scale."""
+    phases = st.floats(0.0, 2 * np.pi)
+    if draw(st.booleans()):
+        state_a, state_b = draw(grid_pairs())
+    else:
+        alpha_mag = draw(st.sampled_from([0.0, 1e-200, 1e-5]) | st.floats(0.0, 3.0))
+        alpha = alpha_mag * np.exp(1j * draw(phases))
+        beta = draw(st.floats(0.5, 40.0)) * np.exp(1j * draw(phases))
+        n1_max, n2_max = default_cutoff(abs(alpha)), default_cutoff(abs(beta))
+        lo1 = draw(st.integers(0, int(abs(alpha) ** 2)))
+        lo2 = draw(st.integers(0, int(abs(beta) ** 2)))
+        mode_1, mode_2 = _coherent_window(alpha, lo1, n1_max), _coherent_window(beta, lo2, n2_max)
+        state_a = np.outer(mode_1, mode_2)
+        nhat, z = mean_photon_number(alpha, beta), relative_target(alpha, beta)
+        state_b, _ = _product_grid(nhat, beta / abs(beta), z, n1_max, n2_max, lo1, lo2)
+    if draw(st.booleans()) and state_a[0].any() and state_b[0].any():
+        scale = draw(st.floats(1e-210, 1e-190))
+        rows = np.array([scale**n1 for n1 in range(state_a.shape[0])])[:, None]
+        state_a, state_b = state_a * rows, state_b * rows
+    return state_a / np.linalg.norm(state_a), state_b / np.linalg.norm(state_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=window_grid_pairs())
+def test_twirled_hs_distance_matches_unit_vector_form(pair):
+    state_a, state_b = pair
+    want = unit_vector_hs_distance(state_a, state_b)
+    # the reference's first term takes |g|^2 rounded next to 1: a floor of a
+    # few ulps of p_b per sector (1.4e-15 at most in 3000 examples, where the
+    # kernel stayed within 3.4e-16 of an exact rational evaluation)
+    assert abs(twirled_hs_distance(state_a, state_b) - want) <= 1e-14 * want + 4e-15
+    assert twirled_hs_distance(state_a, state_a) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,6 +356,7 @@ class TestTwirledHsDistance:
         grid = two_mode_coherent(0.7, 1.0, 10, 12)
         grid /= np.linalg.norm(grid)
         assert twirled_hs_distance(grid, grid) == pytest.approx(0.0, abs=1e-14)
+        assert twirled_hs_distance(grid, grid) == 0.0
 
     def test_matches_dense_twirl(self):
         # dual route: the per-block formula against explicitly built

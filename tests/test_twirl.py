@@ -28,7 +28,7 @@ from relphase import (
     von_mises_prior,
 )
 from relphase.blocks import block_dim, block_offset
-from relphase.twirl import PhaseTwirl, _Gaussians, _twirl
+from relphase.twirl import PhaseTwirl, _Gaussians, _phase_twirl
 
 from conftest import random_state_vector
 
@@ -43,6 +43,12 @@ def loop_twirl(psi, labels, prior):
         rotated = np.exp(-1j * phi * labels) * psi
         rho += weight * np.outer(rotated, rotated.conj())
     return rho
+
+
+def dense_twirl(psi, labels, prior):
+    """The kernel's dense matrix psi psi^dag (Schur) chi(q_i - q_j) for any
+    ket psi and charge labels q."""
+    return _phase_twirl(psi, labels, prior, None).matrix
 
 
 def schur_twirl(psi, labels, prior):
@@ -532,7 +538,7 @@ def previous_twirl_two_mode(state, prior):
     """twirl_two_mode as it was before the direct scatter: the kernel applied
     to the flattened BlockState of the grid."""
     blocks = to_blocks(state)
-    return _twirl(blocks.flatten(), total_number_labels(blocks.n_max), prior)
+    return dense_twirl(blocks.flatten(), total_number_labels(blocks.n_max), prior)
 
 
 @settings(max_examples=100, deadline=None)

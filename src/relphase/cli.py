@@ -7,16 +7,19 @@ with the values the command resolved.  Columns are the row keys.  Identical
 configurations produce byte-identical output.  ``--prior`` specs follow the
 one grammar of ``twirl.read_prior_spec``.  Exit codes: 0 success,
 2 configuration error, 3 numerical-precondition failure or a size above a
-module limit, refused before allocation.
+module limit, refused before allocation; every error is one stderr line.
+
+The flags of every command are stated once, in the option table
+(``COMMANDS`` and ``SHARED``), which ``parse_args`` reads and ``usage``
+prints; no argparse is involved.
 """
 
-import argparse
 import csv
 import io
 import json
-import locale  # noqa: F401  -- argparse's gettext imports it at the first message lookup
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,28 +27,16 @@ from .blocks import check_grid_size, default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
 from .fock import SizeLimitError, coherent_vector, purity
 from .lattice import (
-    QuditPairState,
-    _require_odd,
-    relative_pair,
-    shift_prior,
-    sum_gate,
-    twirled_relative,
+    QuditPairState, _require_odd, relative_pair, shift_prior, sum_gate, twirled_relative
 )
 from .spin import contraction_overlap
-from .twirl import (
-    _Gaussians,
-    coherence_witness,
-    expectation,
-    parse_prior,
-    random_commutant_observable,
-    twirl_single_mode,
-)
+from .twirl import _Gaussians, coherence_witness, expectation, parse_prior
+from .twirl import random_commutant_observable, twirl_single_mode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_N_GRID = "25,50,100,200,400,800"
 DEFAULT_TWIRL_PRIORS = ["uniform", "point:0.0", "twopoint:0.0,3.141592653589793", "vonmises:4.0"]
 DEFAULT_WAY_PRIORS = ["uniform", "point:1", "twopoint:0,2", "vonmises:4.0"]
 
@@ -57,9 +48,9 @@ MAX_TWIRL_ROWS = 2**20
 
 def _emit(args, rows: list, **resolved):
     """Write the table.  The config echo is the parsed arguments (minus
-    ``out`` and ``func``) updated with the values the command resolved; the
-    columns are the keys of the first row."""
-    config = {key: value for key, value in vars(args).items() if key not in ("out", "func")}
+    ``out``) updated with the values the command resolved; the columns are
+    the keys of the first row."""
+    config = {key: value for key, value in vars(args).items() if key != "out"}
     config.update(resolved)
     columns = list(rows[0])
     if args.output == "csv":
@@ -102,7 +93,7 @@ def _complex(flag: str, mag: float, phase: float) -> complex:
     return _magnitude(flag, mag) * np.exp(1j * _finite(flag + "-phase", phase))
 
 
-def cmd_factorize_sweep(args) -> int:
+def cmd_factorize_sweep(args) -> None:
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     mags = _list(args.beta_list, float, "numbers")
     beta_mags = [_magnitude("--beta-list entry", mag) for mag in mags]
@@ -126,10 +117,9 @@ def cmd_factorize_sweep(args) -> int:
         for mag, report in zip(beta_mags, reports)
     ]
     _emit(args, rows, beta_list=beta_mags)
-    return EXIT_OK
 
 
-def cmd_contract_overlap(args) -> int:
+def cmd_contract_overlap(args) -> None:
     n_grid = _list(args.n_grid, int, "integers")
     if any(n < 1 for n in n_grid):
         raise ValueError("N grid entries must be >= 1")
@@ -144,25 +134,30 @@ def cmd_contract_overlap(args) -> int:
         for n in n_grid
     ]
     _emit(args, rows, n_grid=n_grid)
-    return EXIT_OK
 
 
-def cmd_twirl_demo(args) -> int:
+def cmd_twirl_demo(args) -> None:
     if args.n_observables < 0:
         raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
+    if n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {n_max}")
     check_grid_size(n_max, n_max)  # the twirl's .matrix, if read, is (n_max+1)^2
-    prior_specs = args.priors or list(DEFAULT_TWIRL_PRIORS)
-    n_rows = len(prior_specs) * (args.n_observables + 1)
+    n_rows = len(args.priors) * (args.n_observables + 1)
     if n_rows > MAX_TWIRL_ROWS:
         raise SizeLimitError(
-            f"{len(prior_specs)} priors x {args.n_observables + 1} observables "
+            f"{len(args.priors)} priors x {args.n_observables + 1} observables "
             f"make {n_rows} rows, above the limit of {MAX_TWIRL_ROWS}"
         )
-    priors = [(spec, parse_prior(spec)) for spec in prior_specs]
+    priors = [(spec, parse_prior(spec)) for spec in args.priors]
     psi = coherent_vector(alpha, n_max)
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if norm * norm < np.finfo(float).tiny:  # a mass this small cannot be normalized
+        raise InsufficientCutoffError(
+            f"--n-max {n_max} keeps a mass below 2.2e-308 of the state at |alpha| = {abs(alpha)}"
+        )
+    psi = psi / norm
     control = coherence_witness(0, n_max)
     rows = []
     for spec, prior in priors:
@@ -176,8 +171,7 @@ def cmd_twirl_demo(args) -> int:
             rows.append(
                 {"prior": spec, "observable": name, "expectation": float(expectation(obs, rho))}
             )
-    _emit(args, rows, n_max=int(n_max), priors=prior_specs)
-    return EXIT_OK
+    _emit(args, rows, n_max=int(n_max))
 
 
 def _random_units(draw, d: int, count: int) -> np.ndarray:
@@ -196,96 +190,116 @@ def _way_scenarios(d: int, draw) -> dict:
     }
 
 
-def cmd_way_demo(args) -> int:
+def cmd_way_demo(args) -> None:
     dims = [_require_odd(d) for d in _list(args.dim_list, int, "integers")]
-    prior_specs = args.priors or list(DEFAULT_WAY_PRIORS)
     rows = []
     draw = _Gaussians(args.seed)
     for d in dims:
-        priors = [(spec, shift_prior(spec, d)) for spec in prior_specs]
+        priors = [(spec, shift_prior(spec, d)) for spec in args.priors]
         for scenario, state in _way_scenarios(d, draw).items():
             for spec, prior in priors:
                 # rho_rel is the same under every prior, the point prior at
                 # X = 0 included, so its overlap with the input's is its purity
-                relative_purity = float(purity(twirled_relative(state, prior)))
-                rows.append(
-                    {
-                        "d": int(d),
-                        "scenario": scenario,
-                        "prior": spec,
-                        "relative_purity": relative_purity,
-                        "relative_fidelity_to_input": relative_purity,
-                    }
-                )
-    _emit(args, rows, dim_list=dims, priors=prior_specs)
-    return EXIT_OK
+                value = float(purity(twirled_relative(state, prior)))
+                row = {"d": int(d), "scenario": scenario, "prior": spec, "relative_purity": value}
+                rows.append({**row, "relative_fidelity_to_input": value})
+    _emit(args, rows, dim_list=dims)
 
 
-def _add_shared(parser: argparse.ArgumentParser):
-    parser.add_argument("--output", choices=("csv", "json"), default="csv", help="table format")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized content")
+# The option table.  An option is (flag, type or choices, default, help);
+# REQUIRED marks a flag without a default, and a list default marks a
+# repeatable flag, whose values gather under the plural ("--prior" ->
+# priors).  Every command also takes the SHARED options.
+REQUIRED = object()
+PRIOR_HELP = "uniform | point:<phi> | twopoint:<phi1>,<phi2> | vonmises:<kappa> | grid:<path>"
+SHARED = (
+    ("--output", ("csv", "json"), "csv", "table format"),
+    ("--out", str, None, "output path (default: stdout)"),
+    ("--seed", int, 0, "seed for any randomized content"),
+)
+COMMANDS = {
+    "factorize-sweep": (cmd_factorize_sweep, "exact-vs-product fidelity over a |beta| list", (
+        ("--alpha", float, REQUIRED, "first-mode magnitude"),
+        ("--alpha-phase", float, 0.0, "first-mode complex argument"),
+        ("--beta-list", str, REQUIRED, "comma-separated |beta| values"),
+        ("--beta-phase", float, 0.0, "second-mode complex argument"),
+        ("--n1-max", int, None, "override first-mode cutoff"),
+        ("--n2-max", int, None, "override second-mode cutoff"))),
+    "contract-overlap": (cmd_contract_overlap, "spin-to-WH contraction overlap over an N grid", (
+        ("--z", float, REQUIRED, "WH amplitude magnitude"),
+        ("--z-phase", float, 0.0, "WH amplitude complex argument"),
+        ("--n-grid", str, "25,50,100,200,400,800", "comma-separated spin sizes"))),
+    "twirl-demo": (cmd_twirl_demo, "prior-(in)dependence of observables under phase twirls", (
+        ("--alpha", float, 1.0, "coherent input magnitude"),
+        ("--alpha-phase", float, 0.0, "coherent input argument"),
+        ("--n-max", int, None, "Fock cutoff (default: auto)"),
+        ("--n-observables", int, 4, "number of commutant observables"),
+        ("--prior", str, DEFAULT_TWIRL_PRIORS, "repeatable prior spec: " + PRIOR_HELP))),
+    "way-demo": (cmd_way_demo, "lattice twirl scenarios: purity of the relative register", (
+        ("--dim-list", str, "3,5,7", "comma-separated odd lattice dimensions"),
+        ("--prior", str, DEFAULT_WAY_PRIORS, "repeatable shift-prior spec, in lattice shifts"))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relphase",
-        description="Relative-phase subspace studies: factorization sweeps, "
-        "contraction convergence, phase twirls, lattice twirls.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _options(command: str) -> dict:
+    """flag -> [type or choices, default, help] of one command."""
+    return {flag: rest for flag, *rest in COMMANDS[command][2] + SHARED}
 
-    p = sub.add_parser("factorize-sweep", help="exact-vs-product fidelity over a |beta| list")
-    _add_shared(p)
-    p.add_argument("--alpha", type=float, required=True, help="first-mode magnitude")
-    p.add_argument("--alpha-phase", type=float, default=0.0, help="first-mode complex argument")
-    p.add_argument("--beta-list", required=True, help="comma-separated |beta| values")
-    p.add_argument("--beta-phase", type=float, default=0.0, help="second-mode complex argument")
-    p.add_argument("--n1-max", type=int, default=None, help="override first-mode cutoff")
-    p.add_argument("--n2-max", type=int, default=None, help="override second-mode cutoff")
-    p.set_defaults(func=cmd_factorize_sweep)
 
-    p = sub.add_parser("contract-overlap", help="spin-to-WH contraction overlap over an N grid")
-    _add_shared(p)
-    p.add_argument("--z", type=float, required=True, help="WH amplitude magnitude")
-    p.add_argument("--z-phase", type=float, default=0.0, help="WH amplitude complex argument")
-    p.add_argument("--n-grid", default=DEFAULT_N_GRID, help="comma-separated spin sizes")
-    p.set_defaults(func=cmd_contract_overlap)
+def _kind(kind) -> str:
+    return "|".join(kind) if isinstance(kind, tuple) else kind.__name__
 
-    p = sub.add_parser("twirl-demo", help="prior-(in)dependence of observables under phase twirls")
-    _add_shared(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="coherent input magnitude")
-    p.add_argument("--alpha-phase", type=float, default=0.0, help="coherent input argument")
-    p.add_argument("--n-max", type=int, default=None, help="Fock cutoff (default: auto)")
-    p.add_argument("--n-observables", type=int, default=4, help="number of commutant observables")
-    p.add_argument(
-        "--prior",
-        action="append",
-        dest="priors",
-        help="prior spec (repeatable): uniform | point:<phi> | twopoint:<phi1>,<phi2> | "
-        "vonmises:<kappa> | grid:<path>",
-    )
-    p.set_defaults(func=cmd_twirl_demo)
 
-    p = sub.add_parser("way-demo", help="lattice twirl scenarios: purity of the relative register")
-    _add_shared(p)
-    p.add_argument("--dim-list", default="3,5,7", help="comma-separated odd lattice dimensions")
-    p.add_argument(
-        "--prior",
-        action="append",
-        dest="priors",
-        help="shift-prior spec (repeatable); numeric parameters are lattice shifts",
-    )
-    p.set_defaults(func=cmd_way_demo)
+def usage(commands=COMMANDS) -> str:
+    """Help text from the option table: each of ``commands`` with its flags."""
+    lines = ["usage: relphase <command> [--flag value | --flag=value ...]"]
+    for command in commands:
+        lines.append(f"{command}: {COMMANDS[command][1]}")
+        for flag, (kind, default, text) in _options(command).items():
+            note = " (required)" if default is REQUIRED else f" (default {default})"
+            lines.append(f"  {flag} {_kind(kind)}: {text}{note * (default is not None)}")
+    return "\n".join(lines) + "\n"
 
-    return parser
+
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace of one command line: ``<command>`` then ``--flag value``
+    or ``--flag=value`` pairs, flag names exact.  A value may start with a
+    single ``-``.  A flag given twice keeps its last value, a repeatable one
+    all of them.  Anything else raises ValueError."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {' '.join(argv[:1])!r}")
+    command, options, given = argv[0], _options(argv[0]), {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, has_value, value = token.partition("=")
+        if flag not in options:
+            raise ValueError(f"{command} has no flag {flag!r} (see relphase {command} --help)")
+        if not has_value and (value := next(tokens, "--")).startswith("--"):
+            raise ValueError(f"{flag} needs a value")
+        kind, default, _ = options[flag]
+        try:  # tuple.index raises ValueError for a value outside the choices
+            value = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            raise ValueError(f"{flag} takes {_kind(kind)}, got {value!r}") from None
+        given[flag] = given.get(flag, []) + [value] if isinstance(default, list) else value
+    args = SimpleNamespace(command=command)
+    for flag, (_, default, _) in options.items():
+        if default is REQUIRED and flag not in given:
+            raise ValueError(f"{command} needs {flag}")
+        name = flag[2:].replace("-", "_") + "s" * isinstance(default, list)
+        setattr(args, name, given.get(flag, default[:] if isinstance(default, list) else default))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage(argv[:1] if argv[0] in COMMANDS else COMMANDS))
+        return EXIT_OK
     try:
-        return args.func(args)
+        args = parse_args(argv)
+        COMMANDS[args.command][0](args)
+        return EXIT_OK
     except InsufficientCutoffError as exc:
         print(f"relphase: numerical precondition failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -66,25 +66,31 @@ def _stirling_remainder(n):
 
 
 def _deviance(x, mean):
-    """Poisson deviance D(x, m) = x ln(x/m) - (x - m) >= 0 for x >= 0 and a
-    mean m > 0 with x/m a float, elementwise over arrays; D(0, m) = m.
+    """Poisson deviance D(x, m) = x ln(x/m) - (x - m) >= 0 for an array
+    x >= 0 and a mean m > 0 with x/m a float, elementwise; D(0, m) = m.
 
     No term of size x ln x is formed only to cancel.  With
     v = (x - m)/(x + m), ln(x/m) = 2 atanh(v), so D = (x - m) v +
     2x (atanh(v) - v), summed as a series for |v| < 0.1 (Loader's bd0);
     further out D = x log1p((x - m)/m) - (x - m) is well above its rounding.
+    Each form is evaluated on its own entries only.
     """
     diff = x - mean
     v = diff / (x + mean)
-    v2 = v * v
+    near = np.abs(v) < 0.1
+    out = np.empty_like(v)
+    xn, vn = x[near], v[near]
+    v2 = vn * vn
     # atanh(v) - v = v^3 (1/3 + v^2/5 + ... + v^12/15); the rest is below
     # |v|^15/17 < 6e-17 of D
     series = 1.0 / 15.0
     for odd in (13.0, 11.0, 9.0, 7.0, 5.0, 3.0):
         series = series * v2 + 1.0 / odd
-    near = v * (diff + 2.0 * x * v2 * series)
-    far = x * np.log1p((np.where(x > 0, x, mean) - mean) / mean) - diff
-    return np.where(np.abs(v) < 0.1, near, far)
+    out[near] = vn * (diff[near] + 2.0 * xn * v2 * series)
+    far = ~near
+    xf = x[far]
+    out[far] = xf * np.log1p((np.where(xf > 0, xf, mean) - mean) / mean) - diff[far]
+    return out
 
 
 def _log_poisson(n, mag):

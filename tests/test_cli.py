@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import HAS_VMHWM, RUN_CLI, peak_mb
+from relphase import cli
 
 STRESS = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "oracle_stress.json").read_text()
@@ -203,6 +204,30 @@ class TestTwirlDemo:
         # the dense 2896 x 2896 twirl alone is 134 MB; building it peaked at 373 MB
         args = ["twirl-demo", "--n-max", "2895", "--n-observables", "1", "--prior", "uniform"]
         assert peak_mb(RUN_CLI, *args, "--out", str(tmp_path / "twirl.csv")) < 100
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the amplitudes are near 1e-195, so their squares underflow
+            ("--n-max", "1", "--alpha", "30"),
+            # every amplitude underflows to 0
+            ("--n-max", "2", "--alpha", "40", "--prior", "uniform"),
+            # a subnormal mass: the normalized state missed 1e-10 by 1.8e-6
+            ("--n-max", "1", "--alpha", "27.2"),
+        ],
+        ids=["squares-underflow", "amplitudes-underflow", "subnormal-mass"],
+    )
+    def test_cutoff_below_the_support_exits_3(self, args):
+        result = run_cli("twirl-demo", *args)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("relphase: numerical precondition failed: --n-max ")
+
+    def test_zero_cutoff_names_the_flag(self):
+        result = run_cli("twirl-demo", "--n-max", "0")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["relphase: --n-max must be >= 1, got 0"]
 
     def test_large_kappa_rows_finite(self):
         result = run_cli("twirl-demo", "--prior", "vonmises:1e4")
@@ -400,6 +425,67 @@ class TestPriorFiles:
         )
 
 
+class TestArguments:
+    """One option table, read without argparse: exact flag names, both
+    ``--flag value`` and ``--flag=value``, and one stderr line per config
+    error."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (),
+            ("bogus",),
+            ("contract-overlap", "--z", "1", "--frobnicate", "2"),
+            ("factorize-sweep", "--alph", "1", "--beta-list", "2"),
+            ("factorize-sweep", "--alpha", "1", "--beta-list"),
+            ("factorize-sweep", "--beta-list", "2"),
+            ("factorize-sweep", "--alpha", "x", "--beta-list", "2"),
+            ("contract-overlap", "--z", "1", "--seed", "1.5"),
+            ("contract-overlap", "--z", "1", "--output", "xml"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "unknown-flag", "prefix", "no-value",
+            "missing-alpha", "bad-float", "bad-int", "bad-choice",
+        ],
+    )
+    def test_config_error_is_one_line(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("relphase: ")
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_the_table(self, capsys, command, flag):
+        # help wins over the rest of the line, a flag the command lacks included
+        argv = [flag] if command is None else [command, "--alpha", "1", flag]
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        for name in cli.COMMANDS if command is None else [command]:
+            assert f"{name}: " in text
+            for option in cli.COMMANDS[name][2] + cli.SHARED:
+                assert f"  {option[0]} " in text
+
+    def test_equals_form_prints_the_same_table(self):
+        spaced = run_cli("contract-overlap", "--z", "1", "--n-grid", "25,50")
+        joined = run_cli("contract-overlap", "--z=1", "--n-grid=25,50")
+        assert spaced.returncode == joined.returncode == 0
+        assert joined.stdout == spaced.stdout
+
+    def test_value_may_start_with_a_dash(self, capsys):
+        assert cli.main(["twirl-demo", "--alpha-phase", "-0.5", "--n-max", "4"]) == 0
+        config, _, _ = parse_csv(capsys.readouterr().out)
+        assert config["alpha_phase"] == -0.5
+
+    def test_last_value_wins_and_priors_gather(self):
+        args = cli.parse_args(
+            ["twirl-demo", "--alpha", "1", "--alpha=2", "--prior", "uniform", "--prior=point:0"]
+        )
+        assert (args.alpha, args.priors) == (2.0, ["uniform", "point:0"])
+        assert cli.parse_args(["way-demo"]).priors == cli.DEFAULT_WAY_PRIORS
+
+
 CONFIG_KEYS = {
     "factorize-sweep": (
         ["--alpha", "1", "--beta-list", "2"],
@@ -494,6 +580,19 @@ class TestSeededContent:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [[], []]
+
+    def test_no_argparse_modules_loaded(self):
+        # the option table is read without argparse and its gettext/locale
+        script = (
+            "import json, os, sys\n"
+            "import relphase\n"
+            "from relphase.cli import main\n"
+            "assert main(['contract-overlap', '--z', '1', '--out', os.devnull]) == 0\n"
+            "print(json.dumps([n for n in ('argparse', 'gettext', 'locale') if n in sys.modules]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == []
 
     @pytest.mark.parametrize(
         "args", [("twirl-demo", "--seed", "-1"), ("way-demo", "--seed", "-1")], ids=["twirl", "way"]

@@ -29,11 +29,14 @@ __all__ = [
     "two_mode_coherent",
 ]
 
-# Largest (n1, n2) grid, in entries, that the grid builders will allocate:
-# 2**23 complex entries are 134 MB, and a factorization report holds a few
-# grid-sized arrays at once.  At |alpha| = 1 a full grid from n = 0 reaches
-# it near |beta| = 620; factorization_fidelity builds only the Poisson window
-# of each mode, which reaches it at |beta| = 19064.
+# Largest array of two-mode amplitudes, in entries, that the grid builders
+# and the grid-to-block scatter will allocate: 2**23 complex entries are
+# 134 MB.  At |alpha| = 1 a full grid from n = 0 reaches it near
+# |beta| = 620.  The block ket of an (n1, n2) grid has block_dim(n1 + n2)
+# entries, quadratic in n1 + n2, and reaches it near n1 + n2 = 4095.
+# factorization_fidelity checks the Poisson window of each mode against it,
+# which refuses |beta| = 19064 at |alpha| = 1, although it allocates only
+# 1-D profiles and, for the HS residual, row blocks of that window.
 MAX_GRID_ENTRIES = 2**23
 
 
@@ -133,11 +136,18 @@ class BlockState:
 def _block_ket(state: np.ndarray) -> tuple:
     """(ket, n_top): the entries of an (n1, n2) grid scattered to the flat
     block index block_offset(N) + n1 of blocks N = 0..n_top, zero where a
-    block reaches outside the grid."""
+    block reaches outside the grid.  A ket of more than MAX_GRID_ENTRIES
+    entries raises SizeLimitError before it is allocated."""
     state = np.asarray(state, dtype=complex)
+    index = block_index(state.shape)
     n_top = sum(state.shape) - 2
-    ket = np.zeros(block_dim(n_top), dtype=complex)
-    ket[block_index(state.shape)] = state
+    size = block_dim(n_top)
+    if size > MAX_GRID_ENTRIES:
+        raise SizeLimitError(
+            f"blocks N = 0..{n_top} hold {size} entries, above the limit of {MAX_GRID_ENTRIES}"
+        )
+    ket = np.zeros(size, dtype=complex)
+    ket[index] = state
     return ket, n_top
 
 

@@ -33,11 +33,14 @@ __all__ = [
 # trusted.
 MIN_RETAINED_MASS = 1.0 - 1e-8
 
-# Largest row block, in grid entries, that the sector reductions work on at
-# once: a larger grid is reduced block by block, with temporaries of a few
-# blocks (1 MB of complex each, twice that for a skewed buffer), not of the
-# whole grid.
-CHUNK_ENTRIES = 2**16
+# Largest row block, in window entries, that a walk over a grid takes at
+# once: the public grid kernels and the HS residual of factorization_fidelity
+# reduce a larger window block by block, with temporaries of a few blocks,
+# not of the whole window.  A block of complex entries is then 64 kB, small
+# enough that the allocator reuses freed memory for the next block's
+# temporaries instead of mapping fresh pages: at 2**16 entries the residual
+# walk of a report in a new interpreter took up to twice as long.
+CHUNK_ENTRIES = 2**12
 
 
 class InsufficientCutoffError(ValueError):
@@ -47,7 +50,9 @@ class InsufficientCutoffError(ValueError):
 @dataclass(frozen=True)
 class FactorizationReport:
     """Comparison of the exact two-mode coherent state against its product
-    approximation at one parameter point."""
+    approximation at one parameter point.  ``exact_mass`` and
+    ``product_mass`` are the squared norms the window rows lo1..n1_max x
+    columns lo2..n2_max retains of each state, before normalization."""
 
     alpha: complex
     beta: complex
@@ -57,6 +62,10 @@ class FactorizationReport:
     n1_max: int
     n2_max: int
     condition_ratio: float
+    exact_mass: float
+    product_mass: float
+    lo1: int
+    lo2: int
 
 
 def relative_target(alpha: complex, beta: complex) -> complex:
@@ -73,6 +82,17 @@ def _grid_shape(state: np.ndarray) -> tuple:
     if state.ndim != 2:
         raise ValueError(f"expected a 2-D amplitude grid, got shape {state.shape}")
     return state.shape
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 entry by entry, as x.real**2 + x.imag**2."""
+    return x.real**2 + x.imag**2
+
+
+def _fsum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a float array (math.fsum reads a list
+    faster than an array)."""
+    return math.fsum(values.tolist())
 
 
 def _by_sector(values: np.ndarray, rows: slice, cols: int) -> np.ndarray:
@@ -129,24 +149,37 @@ def _wh_profile(z: complex, lo1: int, n1_max: int, n_lo: int, n_top: int):
     return rows, inv_norm
 
 
-def _product_grid(
+def _product_profiles(
     nhat: float, collective_phase: complex, z: complex, n1_max: int, n2_max: int, lo1=0, lo2=0
 ):
-    """Unnormalized product-construction grid over the window rows
-    lo1..n1_max x columns lo2..n2_max, plus its retained squared mass.
+    """The unnormalized product-construction window, rows lo1..n1_max x
+    columns lo2..n2_max, as 1-D profiles (s, wh, inv_norm, p_b): entry
+    (i, j) is s[i + j] * wh[i], and p_b holds the squared mass of each
+    sector.
 
     Block N carries the Poissonian amplitude
     p_N = e^{-nhat/2} (sqrt(nhat) * collective_phase)^N / sqrt(N!) times the
-    WH profile of amplitude z renormalized over k = 0..N; entry (n1, n2) of
-    the grid is p_N w_{n1} / sqrt(W_N) with N = n1 + n2.  The size check
-    runs before anything is allocated.
+    WH profile w_k of amplitude z renormalized over k = 0..N, so
+    s_N = p_N W_N^{-1/2} (inv_norm holds W_N^{-1/2}) and sector N holds
+    |s_N|^2 times the |w_k|^2 of its rows.  The size check runs before
+    anything is allocated.
     """
     check_grid_size(n1_max - lo1, n2_max - lo2)
     n_lo, n_top = lo1 + lo2, n1_max + n2_max
     poisson = _coherent_window(math.sqrt(nhat) * collective_phase, n_lo, n_top)
     wh, inv_norm = _wh_profile(z, lo1, n1_max, n_lo, n_top)
-    grid = _by_sector(poisson * inv_norm, slice(0, wh.size), n2_max - lo2 + 1) * wh[:, None]
-    return grid, float(np.vdot(grid, grid).real)
+    s = poisson * inv_norm
+    return s, wh, inv_norm, _abs2(s) * np.convolve(_abs2(wh), np.ones(n2_max - lo2 + 1))
+
+
+def _product_grid(
+    nhat: float, collective_phase: complex, z: complex, n1_max: int, n2_max: int, lo1=0, lo2=0
+):
+    """Unnormalized product-construction grid over the window rows
+    lo1..n1_max x columns lo2..n2_max (_product_profiles), plus its retained
+    squared mass."""
+    s, wh, _, mass = _product_profiles(nhat, collective_phase, z, n1_max, n2_max, lo1, lo2)
+    return _by_sector(s, slice(0, wh.size), n2_max - lo2 + 1) * wh[:, None], _fsum(mass)
 
 
 def approx_product(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> np.ndarray:
@@ -190,6 +223,29 @@ def _conj_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.real * y.real + x.imag * y.imag + 1j * (x.real * y.imag - x.imag * y.real)
 
 
+def _twirled_hs(shape, pa, pb, cross, pair, mass_a=1.0, mass_b=1.0) -> float:
+    """twirled_hs_distance of x / sqrt(mass_a) and y / sqrt(mass_b), from the
+    sector sums pa = ||x||^2, pb = ||y||^2 and cross = <x, y> of the
+    unnormalized x and y on a window of the given shape; ``pair(rows)``
+    gives the entries (x, y) of the rows of the slice ``rows``, which the
+    residual walks once.  Normalized, block N contributes
+    (pa/mass_a - pb/mass_b)^2 + 2 pa ||y - c x||^2 / (mass_a mass_b) with
+    c = cross / pa, so x = y gives c = 1 and a residual of exactly 0."""
+    # real and imaginary parts apart: a complex division rounds c = 1 off 1
+    c = np.zeros_like(cross)
+    filled = pa >= np.finfo(float).tiny
+    np.divide(cross.real, pa, out=c.real, where=filled)
+    np.divide(cross.imag, pa, out=c.imag, where=filled)
+
+    def residual(rows):
+        x, y = pair(rows)
+        return _abs2(y - _by_sector(c, rows, shape[1]) * x)
+
+    residual2 = _sector_sums(shape, residual)
+    terms = (pa / mass_a - pb / mass_b) ** 2 + 2.0 * pa * residual2 / (mass_a * mass_b)
+    return math.sqrt(float(np.sum(terms)))
+
+
 def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     """Hilbert-Schmidt distance between the uniform phase twirls of two
     normalized two-mode pure states.
@@ -212,18 +268,19 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
     shape = _grid_shape(a)
-    pa = _sector_sums(shape, lambda rows: a[rows].real ** 2 + a[rows].imag ** 2)
-    pb = _sector_sums(shape, lambda rows: b[rows].real ** 2 + b[rows].imag ** 2)
+    pa = _sector_sums(shape, lambda rows: _abs2(a[rows]))
+    pb = _sector_sums(shape, lambda rows: _abs2(b[rows]))
     cross = _sector_sums(shape, lambda rows: _conj_products(a[rows], b[rows]), complex)
-    # real and imaginary parts apart: a complex division rounds c = 1 off 1
-    c = np.zeros_like(cross)
-    filled = pa >= np.finfo(float).tiny
-    np.divide(cross.real, pa, out=c.real, where=filled)
-    np.divide(cross.imag, pa, out=c.imag, where=filled)
-    residual2 = _sector_sums(
-        shape, lambda rows: np.abs(b[rows] - _by_sector(c, rows, shape[1]) * a[rows]) ** 2
-    )
-    return math.sqrt(float(np.sum((pa - pb) ** 2 + 2.0 * pa * residual2)))
+    return _twirled_hs(shape, pa, pb, cross, lambda rows: (a[rows], b[rows]))
+
+
+def _weighted_overlap(rel: np.ndarray, inv_norm: np.ndarray, mass: float) -> float:
+    """relative_state_overlap from the sector sums rel_N = sum_k x_k w_k^*
+    of a state of squared norm ``mass`` and the factors W_N^{-1/2} of
+    _wh_profile: sum_N |rel_N|^2 / W_N over the mass, clamped into [0, 1]."""
+    if mass == 0.0:
+        raise ValueError("state has no populated blocks")
+    return _clamp_unit(float(np.sum(_abs2(rel * inv_norm))) / mass)
 
 
 def relative_state_overlap(state: np.ndarray, z: complex) -> float:
@@ -234,34 +291,32 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     With x the grid entries of block N and w_k the WH amplitudes, the
     weighted term is |sum_k x_k^* w_k|^2 / W_N, W_N = sum_{k <= N} |w_k|^2.
     """
-    return _relative_overlap(state, z, 0, 0)
-
-
-def _relative_overlap(state: np.ndarray, z: complex, lo1: int, lo2: int) -> float:
-    """relative_state_overlap of a window grid whose entry (i, j) is
-    (n1, n2) = (lo1 + i, lo2 + j)."""
     state = np.asarray(state, dtype=complex)
-    shape = _grid_shape(state)
-    mass = float(np.vdot(state, state).real)
-    if mass == 0.0:
-        raise ValueError("state has no populated blocks")
-    n1_max = lo1 + shape[0] - 1
-    wh, inv_norm = _wh_profile(z, lo1, n1_max, lo1 + lo2, n1_max + lo2 + shape[1] - 1)
-    cross = _sector_sums(shape, lambda rows: state[rows].conj() * wh[rows, None], complex)
-    return _clamp_unit(float(np.sum(np.abs(cross * inv_norm) ** 2)) / mass)
+    rows, cols = _grid_shape(state)
+    wh, inv_norm = _wh_profile(z, 0, rows - 1, 0, rows + cols - 2)
+    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj(), complex)
+    return _weighted_overlap(rel, inv_norm, float(np.sum(_abs2(state))))
 
 
 def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> FactorizationReport:
     """Compare the exact two-mode coherent state with its product
     approximation: pure overlap, uniformly twirled HS distance, and the
-    block-profile overlap of the exact state with the WH target."""
+    block-profile overlap of the exact state with the WH target.
+
+    Every window entry is a product of 1-D profiles: u_i v_j for the exact
+    state (the Poisson windows of the two modes) and s_{i+j} w_i for the
+    product state (_product_profiles).  So every sector sum but the HS
+    residual is a convolution of profiles, the normalization is applied to
+    the sector sums, and only the residual walks the window, generating its
+    entries a row block at a time.
+    """
     z = relative_target(alpha, beta)
     n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
     n2_max = default_cutoff(abs(beta)) if n2_max is None else n2_max
     # Each axis starts at its window edge, 10 standard deviations below the
-    # mean.  The rows of both grids spread like the first mode, |alpha|.  The
-    # columns n2 = N - n1 of the product grid spread wider than the exact
-    # state's |beta|: N and n1 fluctuate independently there, so the
+    # mean.  The rows of both windows spread like the first mode, |alpha|.
+    # The columns n2 = N - n1 of the product window spread wider than the
+    # exact state's |beta|: N and n1 fluctuate independently there, so the
     # variance is |beta|^2 + 2 |alpha|^2.
     def start(mean, variance, n_max):
         return _poisson_window(mean, 10.0 * math.sqrt(variance) + 10.0, math.inf, n_max)[0]
@@ -272,30 +327,45 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     nhat = mean_photon_number(alpha, beta)
 
     check_grid_size(n1_max - lo1, n2_max - lo2)
-    exact = np.outer(_coherent_window(alpha, lo1, n1_max), _coherent_window(beta, lo2, n2_max))
-    exact_mass = float(np.vdot(exact, exact).real)
+    u = _coherent_window(alpha, lo1, n1_max)
+    v = _coherent_window(beta, lo2, n2_max)
+    pa = np.convolve(_abs2(u), _abs2(v))
+    exact_mass = _fsum(pa)
     if exact_mass < MIN_RETAINED_MASS:
         raise InsufficientCutoffError(
             f"cutoffs ({n1_max}, {n2_max}) retain only {exact_mass!r} of the exact state"
         )
-    approx, approx_mass = _product_grid(nhat, beta / abs(beta), z, n1_max, n2_max, lo1, lo2)
-    if approx_mass < MIN_RETAINED_MASS:
+    s, wh, inv_norm, pb = _product_profiles(nhat, beta / abs(beta), z, n1_max, n2_max, lo1, lo2)
+    product_mass = _fsum(pb)
+    if product_mass < MIN_RETAINED_MASS:
         raise InsufficientCutoffError(
-            f"cutoffs ({n1_max}, {n2_max}) retain only {approx_mass!r} of the product state"
+            f"cutoffs ({n1_max}, {n2_max}) retain only {product_mass!r} of the product state"
         )
-    exact /= math.sqrt(exact_mass)
-    approx /= math.sqrt(approx_mass)
+    # rel_N = sum of u_i v_j w_i^* over sector N; the cross sum <x, y> there
+    # is rel_N^* s_N
+    rel = np.convolve(u * wh.conj(), v)
+    cross = _conj_products(rel, s)
+    overlap2 = _fsum(cross.real) ** 2 + _fsum(cross.imag) ** 2
 
-    fidelity = _clamp_unit(float(abs(np.vdot(exact, approx)) ** 2))
+    def pair(rows):
+        return u[rows, None] * v, _by_sector(s, rows, v.size) * wh[rows, None]
+
     return FactorizationReport(
         alpha=complex(alpha),
         beta=complex(beta),
-        pure_fidelity=fidelity,
-        twirled_hs_distance=twirled_hs_distance(exact, approx),
-        relative_state_overlap=_relative_overlap(exact, z, lo1, lo2),
+        pure_fidelity=_clamp_unit(overlap2 / (exact_mass * product_mass)),
+        twirled_hs_distance=_twirled_hs(
+            (u.size, v.size), pa, pb, cross, pair, exact_mass, product_mass
+        ),
+        relative_state_overlap=_weighted_overlap(rel, inv_norm, exact_mass),
         n1_max=n1_max,
         n2_max=n2_max,
-        condition_ratio=nhat / alpha_sq if alpha_sq > 0 else math.inf,
+        # Python floats: a subnormal alpha_sq gives inf, not a numpy overflow warning
+        condition_ratio=float(nhat) / float(alpha_sq) if alpha_sq > 0 else math.inf,
+        exact_mass=exact_mass,
+        product_mass=product_mass,
+        lo1=lo1,
+        lo2=lo2,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relphase import (
+    UNIFORM,
+    SizeLimitError,
     coherent_vector,
     default_cutoff,
     from_blocks,
@@ -13,6 +16,7 @@ from relphase import (
     params_from_modes,
     spin_coherent,
     to_blocks,
+    twirl_two_mode,
     two_mode_coherent,
 )
 
@@ -134,6 +138,26 @@ class TestToBlocks:
             expected = collective * spin_coherent(big_n, xi)
             got = blocks.weights[big_n] * blocks.vectors[big_n]
             assert np.max(np.abs(got - expected)) < 1e-10
+
+
+class TestBlockKetLimit:
+    """The block ket of an (n1, n2) grid has block_dim(n1 + n2) entries,
+    quadratic in n1 + n2: a 1 x 10^4 grid (160 kB) would scatter into
+    50005000 entries (0.8 GB), a 1 x 3 x 10^6 grid into 65.5 TiB."""
+
+    @pytest.mark.parametrize(
+        "call", [to_blocks, lambda grid: twirl_two_mode(grid, UNIFORM)], ids=["to_blocks", "twirl"]
+    )
+    def test_oversize_ket_refused_before_allocation(self, call):
+        grid = np.zeros((1, 10**4), dtype=complex)
+        grid[0, 0] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="50005000 entries"):
+                call(grid)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestFromBlocks:

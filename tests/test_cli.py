@@ -97,6 +97,14 @@ class TestFactorizeSweep:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "precondition" in result.stderr
 
+    def test_subnormal_alpha_squared_prints_inf_ratio(self):
+        # |alpha|^2 = 4e-324 is subnormal: the ratio overflows to inf quietly
+        result = run_cli("factorize-sweep", "--alpha", "2e-162", "--beta-list", "1")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        _, _, rows = parse_csv(result.stdout)
+        assert rows[0]["condition_ratio"] == "inf"
+
     @pytest.mark.parametrize("alpha_phase, beta_phase", [("0", "0"), ("2", "0.5")])
     def test_vanishing_alpha_distance_is_zero(self, alpha_phase, beta_phase):
         # the exact and product grids differ only in rows at the 1e-200
@@ -611,8 +619,10 @@ class TestSeededContent:
 
     # Seed-independent text as the CLI printed it while the draws still came
     # from numpy.random (x86-64, numpy 2.4); the change of generator must not
-    # move a digit of it.  (arguments, marker of the rows compared or None
-    # for the whole text, lines)
+    # move a digit of it.  The factorize rows are those of the kernel that
+    # works from 1-D profiles: every value it moved came nearer the mpmath
+    # evaluation of tools/make_fixtures.py.  (arguments, marker of the rows
+    # compared or None for the whole text, lines)
     SEED_INDEPENDENT = [
         (
             ("factorize-sweep", "--alpha", "1", "--beta-list", "2,4"),
@@ -623,9 +633,9 @@ class TestSeededContent:
                 '"n2_max": null, "output": "csv", "seed": 0}',
                 "alpha_mag,alpha_phase,beta_mag,beta_phase,n1_max,n2_max,condition_ratio,"
                 "pure_fidelity,twirled_hs_distance,relative_state_overlap",
-                "1.0,0.0,2.0,0.0,21,34,5.0,0.9536700970189111,0.08829664060570314,"
+                "1.0,0.0,2.0,0.0,21,34,5.0,0.9536700970189108,0.08829664060570312,"
                 "0.9542676999532715",
-                "1.0,0.0,4.0,0.0,21,66,17.0,0.9841699125471003,0.03378998981181086,"
+                "1.0,0.0,4.0,0.0,21,66,17.0,0.9841699125470996,0.03378998981181085,"
                 "0.9842919356124444",
             ],
         ),

@@ -26,7 +26,13 @@ from relphase import (
     two_mode_coherent,
 )
 from relphase.blocks import MAX_GRID_ENTRIES
-from relphase.factorize import _product_grid, _relative_overlap
+from relphase.factorize import (
+    MIN_RETAINED_MASS,
+    _product_grid,
+    _sector_sums,
+    _weighted_overlap,
+    _wh_profile,
+)
 from relphase.fock import _coherent_window
 
 from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, peak_mb
@@ -387,6 +393,21 @@ class TestFactorizationFidelity:
         assert report.n1_max == 21
         assert report.n2_max == 426
 
+    def test_report_carries_window_and_masses(self):
+        report = factorization_fidelity(1, 16)
+        assert (report.lo1, report.lo2) == (0, 85)
+        for mass in (report.exact_mass, report.product_mass):
+            assert MIN_RETAINED_MASS <= mass <= 1.0 + 1e-15
+
+    def test_report_shows_the_product_state_tail(self):
+        # the upper edge n2_max = default_cutoff(|beta|) guards the exact
+        # state's spread |beta|, not the product state's wider
+        # sqrt(|beta|^2 + 2 |alpha|^2), so the product window loses more
+        report = factorization_fidelity(28.0, 30.0)
+        assert (report.lo1, report.lo2, report.n1_max, report.n2_max) == (494, 393, 1074, 1210)
+        assert 1.0 - report.product_mass == pytest.approx(2.8e-10, rel=0.01)
+        assert abs(1.0 - report.exact_mass) <= 1e-15
+
     def test_insufficient_cutoffs_raise(self):
         with pytest.raises(InsufficientCutoffError):
             factorization_fidelity(1, 4, n1_max=2, n2_max=5)
@@ -467,6 +488,16 @@ class TestStressOracle:
         for name in ("pure_fidelity", "twirled_hs_distance", "relative_state_overlap"):
             assert getattr(report, name) == pytest.approx(case[name], abs=1e-9)
 
+    @pytest.mark.parametrize("case", CASES, ids=[f"beta{c['beta_mag']}" for c in CASES])
+    def test_report_matches_oracle_to_rounding(self, case):
+        # the sector sums are 1-D convolutions of the mode profiles and the
+        # masses correctly rounded sums, so only rounding separates the
+        # report from the mpmath row (the grid route with np.vdot masses was
+        # off by up to 1.2e-14 relative at |beta| = 1000)
+        report = factorization_fidelity(1, case["beta_mag"])
+        for name in ("pure_fidelity", "twirled_hs_distance", "relative_state_overlap"):
+            assert getattr(report, name) == pytest.approx(case[name], rel=2e-15, abs=0)
+
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
     def test_sweep_memory_is_linear_in_the_grid(self, tmp_path):
         # The grid is 22 x 11011 (3.9 MB); a BlockState of it held 2.15 GB.
@@ -530,18 +561,37 @@ class TestInputLimits:
             tracemalloc.stop()
 
 
+def fsum_vdot(x, y):
+    """<x, y> with correctly rounded sums of the real and imaginary parts."""
+    products = (x.conj() * y).ravel()
+    return complex(math.fsum(products.real), math.fsum(products.imag))
+
+
 def full_grid_metrics(alpha, beta):
     """The three metrics on the full grid, every n1 and n2 from 0 up to the
-    cutoffs, through the public full-grid kernels."""
+    cutoffs, through the public full-grid kernels; the mass and the pure
+    overlap are math.fsum sums."""
     n1_max, n2_max = default_cutoff(abs(alpha)), default_cutoff(abs(beta))
     exact = two_mode_coherent(alpha, beta, n1_max, n2_max)
-    exact = exact / math.sqrt(np.vdot(exact, exact).real)
+    exact = exact / math.sqrt(fsum_vdot(exact, exact).real)
     approx = approx_product(alpha, beta)
     return (
-        abs(np.vdot(exact, approx)) ** 2,
+        abs(fsum_vdot(exact, approx)) ** 2,
         twirled_hs_distance(exact, approx),
         relative_state_overlap(exact, relative_target(alpha, beta)),
     )
+
+
+def window_overlap(state, z, lo1, lo2):
+    """relative_state_overlap of a window grid whose entry (i, j) is
+    (n1, n2) = (lo1 + i, lo2 + j), as factorization_fidelity takes it: the
+    WH profile and its factors W_N^{-1/2} from the window edges, then the
+    closing arithmetic that relative_state_overlap shares."""
+    rows, cols = state.shape
+    n_lo = lo1 + lo2
+    wh, inv_norm = _wh_profile(z, lo1, lo1 + rows - 1, n_lo, n_lo + rows + cols - 2)
+    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj(), complex)
+    return _weighted_overlap(rel, inv_norm, float(np.sum(np.abs(state) ** 2)))
 
 
 def padded(window, lo1, lo2):
@@ -587,7 +637,7 @@ class TestWindow:
         z = z_mag * np.exp(0.4j)
         full_a, full_b = padded(state_a, lo1, lo2), padded(state_b, lo1, lo2)
         assert abs(
-            _relative_overlap(state_a, z, lo1, lo2) - relative_state_overlap(full_a, z)
+            window_overlap(state_a, z, lo1, lo2) - relative_state_overlap(full_a, z)
         ) <= 1e-15
         distance = twirled_hs_distance(state_a, state_b)
         assert abs(distance - twirled_hs_distance(full_a, full_b)) <= 1e-15
@@ -618,6 +668,90 @@ class TestWindow:
         values = (report.pure_fidelity, report.twirled_hs_distance, report.relative_state_overlap)
         assert all(0.0 <= value <= 1.0 for value in values)
         assert (report.n1_max, report.n2_max) == (21, 9030010)
+
+    def test_large_beta_allocates_profiles_and_row_blocks(self):
+        # the 1-D profiles of the 22 x 60022 window and the residual's row
+        # blocks of 60022 entries: measured 11.6 MB, where the two window
+        # grids took 48.6 MB
+        tracemalloc.start()
+        try:
+            factorization_fidelity(1.0, 3000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 11.6e6
+
+
+def grid_factorization_fidelity(alpha, beta):
+    """Reference report: the route that factorization_fidelity took before it
+    worked from 1-D profiles.  Both window grids are built and normalized by
+    np.vdot masses; the pure overlap is an np.vdot and the other two metrics
+    are the grid kernels.  Returns the three metrics and the window edges
+    (lo1, lo2)."""
+    z = relative_target(alpha, beta)
+    n1_max, n2_max = default_cutoff(abs(alpha)), default_cutoff(abs(beta))
+
+    def start(mean, variance, n_max):
+        return min(n_max, math.floor(max(0.0, mean - (10.0 * math.sqrt(variance) + 10.0))))
+
+    alpha_sq, beta_sq = abs(alpha) ** 2, abs(beta) ** 2
+    lo1 = start(alpha_sq, alpha_sq, n1_max)
+    lo2 = start(beta_sq, beta_sq + 2.0 * alpha_sq, n2_max)
+    exact = np.outer(_coherent_window(alpha, lo1, n1_max), _coherent_window(beta, lo2, n2_max))
+    nhat = mean_photon_number(alpha, beta)
+    approx, _ = _product_grid(nhat, beta / abs(beta), z, n1_max, n2_max, lo1, lo2)
+    for grid in (exact, approx):
+        mass = np.vdot(grid, grid).real
+        if mass < MIN_RETAINED_MASS:
+            raise InsufficientCutoffError(f"the window retains only {mass!r}")
+        grid /= math.sqrt(mass)
+    metrics = (
+        abs(np.vdot(exact, approx)) ** 2,
+        twirled_hs_distance(exact, approx),
+        window_overlap(exact, z, lo1, lo2),
+    )
+    return metrics, (lo1, lo2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha_mag=st.just(1e-200) | st.floats(0.0, 3.0),
+    beta_mag=st.floats(0.5, 40.0),
+    alpha_phase=st.floats(0.0, 2 * np.pi),
+    beta_phase=st.floats(0.0, 2 * np.pi),
+)
+@example(alpha_mag=2.951, beta_mag=0.609, alpha_phase=0.0, beta_phase=0.0)
+@example(alpha_mag=2e-162, beta_mag=1.0, alpha_phase=0.0, beta_phase=0.0)
+def test_report_matches_the_grid_route(alpha_mag, beta_mag, alpha_phase, beta_phase):
+    alpha, beta = alpha_mag * np.exp(1j * alpha_phase), beta_mag * np.exp(1j * beta_phase)
+    try:
+        want, window = grid_factorization_fidelity(alpha, beta)
+    except InsufficientCutoffError:
+        # |alpha| well above |beta|: the product state spreads past n2_max
+        with pytest.raises(InsufficientCutoffError, match="product state"):
+            factorization_fidelity(alpha, beta)
+        return
+    report = factorization_fidelity(alpha, beta)
+    assert (report.lo1, report.lo2) == window
+    got = (report.pure_fidelity, report.twirled_hs_distance, report.relative_state_overlap)
+    for value, reference in zip(got, want):
+        assert abs(value - reference) <= 1e-14
+
+
+def test_metrics_make_no_blas_dot_products(monkeypatch):
+    exact = two_mode_coherent(1.0, 3.0, 21, 49)
+    exact /= np.linalg.norm(exact)
+    approx = approx_product(1.0, 3.0, 21, 49)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS dot product was called")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    report = factorization_fidelity(4, 32)
+    assert 0.0 < report.pure_fidelity < 1.0
+    assert 0.0 < twirled_hs_distance(exact, approx) < 1.0
+    assert 0.0 < relative_state_overlap(exact, relative_target(1.0, 3.0)) < 1.0
 
 
 # 1 - F = |alpha|^2 / (4 |beta|^2) (1 + eps) with eps |beta|^2 -> 7/16 - |alpha|^2/4.

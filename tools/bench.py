@@ -118,7 +118,7 @@ CASES = [
             "from relphase import factorization_fidelity",
             f"factorization_fidelity(1, {b})",
         )
-        for b in (32, 64, 100, 300, 1000, 3000)
+        for b in (32, 64, 100, 300, 1000, 3000, 19063)
     ),
     *(
         call(
@@ -178,6 +178,11 @@ CASES = [
         "CLI factorize-sweep --alpha 1 --beta-list 3000",
         "b = 3000",
         cli("factorize-sweep", "--alpha", "1", "--beta-list", "3000"),
+    ),
+    process(
+        "CLI factorize-sweep --alpha 4 --beta-list 8,16,32",
+        "b = 8, 16, 32",
+        cli("factorize-sweep", "--alpha", "4", "--beta-list", "8,16,32"),
     ),
 ]
 

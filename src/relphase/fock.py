@@ -89,7 +89,11 @@ def _deviance(x, mean):
     out[near] = vn * (diff[near] + 2.0 * xn * v2 * series)
     far = ~near
     xf = x[far]
-    out[far] = xf * np.log1p((np.where(xf > 0, xf, mean) - mean) / mean) - diff[far]
+    # (x - m)/m rounds to -1 for 0 < x < m 2^-53, where log1p would give -inf;
+    # -53 ln 2 in place of ln(x/m) there moves D by x ln(2^-53 m/x) < 2^-53 m/e,
+    # under half an ulp of D, and leaves every other entry's bits alone
+    excess = np.maximum((np.where(xf > 0, xf, mean) - mean) / mean, 2.0**-53 - 1.0)
+    out[far] = xf * np.log1p(excess) - diff[far]
     return out
 
 
@@ -108,9 +112,21 @@ def _log_poisson(n, mag):
     return (_log_poisson(n, 1.0) + 1.0) + (2.0 * math.log(mag) * n - mean)
 
 
-class DenseReads:
-    """The reads that ``expectation`` and ``purity`` make of a state, taken
-    from its dense ``matrix``."""
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian matrix plus a tag naming its index convention.
+
+    ``basis`` is one of ``"fock"`` (photon number n), ``"block"`` (total
+    photon number N major, difference index k minor) or ``"lattice_rel"``
+    (relative lattice coordinate x_r).  Hermiticity, unit trace and
+    positivity are contracts verified by the test suite, not on every
+    construction.  The reads that ``expectation``, ``purity`` and
+    ``fidelity_pure_mixed`` make of a state (``shape``, ``entries``,
+    ``trace_square``, ``overlap``) are taken from ``matrix``.
+    """
+
+    matrix: np.ndarray
+    basis: str
 
     @property
     def shape(self) -> tuple:
@@ -127,20 +143,9 @@ class DenseReads:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         return complex(np.sum(m * m.T))
 
-
-@dataclass(frozen=True)
-class DensityMatrix(DenseReads):
-    """Hermitian matrix plus a tag naming its index convention.
-
-    ``basis`` is one of ``"fock"`` (photon number n), ``"block"`` (total
-    photon number N major, difference index k minor) or ``"lattice_rel"``
-    (relative lattice coordinate x_r).  Hermiticity, unit trace and
-    positivity are contracts verified by the test suite, not on every
-    construction.
-    """
-
-    matrix: np.ndarray
-    basis: str
+    def overlap(self, phi: np.ndarray) -> complex:
+        """<phi|rho|phi>."""
+        return complex(np.vdot(phi, self.matrix @ phi))
 
 
 def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
@@ -157,9 +162,12 @@ def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
 def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
     """The amplitudes of coherent_vector(alpha, n_max) at n = n_min..n_max
     only, each the same float: a Poisson window of a mode with nothing
-    below it allocated."""
+    below it allocated.  An n_max of 2^53 or more, where a float stops
+    counting photon numbers exactly, raises SizeLimitError."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max >= 2**53:
+        raise SizeLimitError("a photon-number cutoff of 2^53 or more is beyond exact floats")
     if not np.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     n = np.arange(n_min, n_max + 1)
@@ -185,19 +193,18 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def fidelity_pure_mixed(psi: np.ndarray, rho: DensityMatrix) -> float:
-    """<psi|rho|psi> for a normalized vector against a density matrix."""
+def fidelity_pure_mixed(psi: np.ndarray, rho) -> float:
+    """<psi|rho|psi> for a normalized vector against a ``DensityMatrix`` or
+    a twirled state, as the state computes it."""
     psi = np.asarray(psi, dtype=complex)
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("psi must be normalized to 1e-10")
-    if rho.matrix.shape != (psi.size, psi.size):
-        raise ValueError(
-            f"dimension mismatch: vector of size {psi.size} vs matrix {rho.matrix.shape}"
-        )
-    value = np.vdot(psi, rho.matrix @ psi)
+    if rho.shape != (psi.size, psi.size):
+        raise ValueError(f"dimension mismatch: vector of size {psi.size} vs matrix {rho.shape}")
+    value = rho.overlap(psi)
     if not abs(value.imag) <= 1e-12:  # NaN fails too
         raise ValueError(f"fidelity has imaginary residue {value.imag:.3e}")
-    return _clamp_unit(float(value.real))
+    return _clamp_unit(value.real)
 
 
 def purity(rho) -> float:

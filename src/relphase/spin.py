@@ -151,10 +151,13 @@ def _log_wh_window(z: complex, big_n: int):
     if z == 0:
         return k, np.zeros(1)
     mag = float(abs(z))
-    if math.isfinite(mag * mag):
-        log_w = 0.5 * _log_poisson(k, mag)
-    else:  # |z|^2 overflows: the same profile up to a constant, from mean 1
+    if k[-1] < 0.5 * mag * mag:
+        # the window lies far below |z|^2, which may overflow, and D(k, |z|^2)
+        # of about |z|^2 would swamp the k-dependence: the same profile up
+        # to a constant, from mean 1
         log_w = 0.5 * _log_poisson(k, 1.0) + math.log(mag) * k
+    else:
+        log_w = 0.5 * _log_poisson(k, mag)
     return k, log_w - log_w.max()
 
 

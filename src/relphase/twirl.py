@@ -201,8 +201,8 @@ class PhaseTwirl:
     ``chi[m + max q]``.
 
     ``matrix`` is the dense density matrix in the index convention
-    ``basis``, built on first read and kept; ``entries`` and
-    ``trace_square`` read the factors.
+    ``basis``, built on first read and kept; ``entries``, ``trace_square``
+    and ``overlap`` read the factors.
     """
 
     psi: np.ndarray
@@ -224,6 +224,13 @@ class PhaseTwirl:
         of psi at charge q."""
         mass = np.bincount(self.labels, weights=np.abs(self.psi) ** 2)
         return float(np.dot(np.abs(self.chi) ** 2, np.correlate(mass, mass, "full")))
+
+    def overlap(self, phi: np.ndarray) -> complex:
+        """<phi|rho|phi> = sum_m chi(m) sum_q c_q c_{q-m}^*, with c_q the
+        overlap of phi with psi at charge q, sum_{q_i = q} phi_i^* psi_i."""
+        product = phi.conj() * self.psi
+        c = np.bincount(self.labels, product.real) + 1j * np.bincount(self.labels, product.imag)
+        return complex(np.dot(self.chi, np.correlate(c, c, "full")))
 
     @cached_property
     def matrix(self) -> np.ndarray:

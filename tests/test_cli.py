@@ -256,10 +256,11 @@ class TestTwirlDemo:
         ("factorize-sweep", "--alpha", "1e-200", "--beta-list", "1"),
         ("contract-overlap", "--z", "1e155"),
         ("contract-overlap", "--z", "1.7e308", "--n-grid", "5"),
+        ("contract-overlap", "--z", "1e8", "--n-grid", "3"),
     ],
     ids=[
         "twirl-kappa-", "twirl-kappa+", "way-kappa-", "way-kappa+", "twirl-alpha", "alpha", "z",
-        "z-max",
+        "z-max", "z-far-above-n",
     ],
 )
 def test_extreme_inputs_run_silently(args):
@@ -329,6 +330,11 @@ def test_bad_magnitude_is_config_error(args):
         # refused at alpha = 1
         ("factorize-sweep", "--alpha", "1", "--beta-list", "19064"),
         ("factorize-sweep", "--alpha", "1", "--beta-list", "1e200"),
+        # cutoffs of about 1e300, beyond the integers a float counts exactly:
+        # the 10-sigma window collapsed to one row and np.arange made an
+        # object array (an IndexError traceback)
+        ("factorize-sweep", "--alpha", "1e150", "--beta-list", "1"),
+        ("factorize-sweep", "--alpha", "1", "--beta-list", "1e150"),
         ("contract-overlap", "--z", "1", "--n-grid", "25,16777217"),
         # a (n_max+1)^2 dense twirl at n_max of about 1e12
         ("twirl-demo", "--alpha", "1e6"),
@@ -345,6 +351,8 @@ def test_bad_magnitude_is_config_error(args):
     ids=[
         "grid",
         "cutoff-overflow",
+        "alpha-cutoff-inexact",
+        "beta-cutoff-inexact",
         "spin-size",
         "twirl-alpha",
         "twirl-n-max",

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 
 from relphase import (
     DensityMatrix,
+    SizeLimitError,
     coherent_vector,
     fidelity_pure_mixed,
     hs_distance,
     inner,
     purity,
 )
-from relphase.fock import STIRLING_FROM, _clamp_unit, _coherent_window, _stirling_remainder
+from relphase.fock import (
+    STIRLING_FROM,
+    _clamp_unit,
+    _coherent_window,
+    _deviance,
+    _stirling_remainder,
+)
 
 from conftest import random_density_matrix, random_state_vector
 
@@ -102,6 +109,25 @@ class TestCoherentVector:
             got = math.log(abs(_coherent_window(mag, n, n)[0])) if want > -700 else None
             if got is not None:
                 assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    def test_mean_far_above_the_window(self):
+        # (n - m)/m rounds to -1 for 0 < n < m 2^-53: the far deviance form
+        # took log1p(-1) and gave an infinite amplitude at n = 1
+        with mp.workdps(40):
+            for n, mean in ((1, 1e16), (3, 1e17), (1, 1e300)):
+                want = n * mp.log(mp.mpf(n) / mp.mpf(mean)) - (n - mp.mpf(mean))
+                got = _deviance(np.array([n]), mean)[0]
+                assert abs(got - want) <= 2.2e-16 * want
+        assert _deviance(np.array([0]), 1e16)[0] == 1e16
+        assert np.array_equal(coherent_vector(1e8, 3), np.zeros(4))
+
+    def test_cutoff_beyond_exact_floats_refused(self):
+        # above 2^53 photon numbers no longer count exactly; above 2^63
+        # np.arange made an object array and the Stirling table lookup failed
+        for n_max in (2**53, 2**63 + 5):
+            with pytest.raises(SizeLimitError, match="2\\^53"):
+                _coherent_window(1.0, n_max, n_max)
+        assert _coherent_window(1.0, 2**53 - 1, 2**53 - 1).size == 1
 
     def test_window_equals_full_vector(self):
         for alpha in (0.8j, 5.0, 40.0 * np.exp(1j), 256.0):
@@ -267,6 +293,14 @@ class TestLogFactorial:
     def test_vectorised_equals_scalar(self):
         n = np.array([0, 1, 5, 31, 32, 33, 1000, 2**24])
         assert log_factorial(n).tolist() == [float(log_factorial(k)) for k in n]
+
+
+def test_import_loads_no_numpy_fft():
+    # the lattice reads load numpy.fft on their first call only
+    script = "import sys, relphase\nprint('numpy.fft' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_import_loads_no_scipy():

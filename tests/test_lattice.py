@@ -1,27 +1,36 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relphase import (
+    Observable,
     QuditPairState,
     SizeLimitError,
     displace,
+    expectation,
     fidelity_pure_mixed,
     from_relative_basis,
     momentum_eigenstate,
     parse_prior,
     product_pair,
     purity,
+    random_commutant_observable,
     reduced_relative,
     relative_pair,
     shift_prior,
     sum_gate,
     to_relative_basis,
     twirl_displacement,
+    twirl_single_mode,
+    twirl_two_mode,
     twirled_relative,
     von_mises_prior,
 )
+from relphase.lattice import PairTwirl
+from relphase.twirl import PhaseTwirl
 
 from conftest import HAS_VMHWM, peak_mb, random_state_vector
 
@@ -157,12 +166,55 @@ class TestTwirlDisplacement:
         psi = state.amplitudes.ravel()
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-15
 
-    def test_purity_reads_the_pair_matrix(self):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from(range(3, 32, 2)),
+        prior_index=st.integers(0, 4),
+        view=st.sampled_from(["product", "relative"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reads_match_the_pair_matrix(self, d, prior_index, view, seed):
+        # purity and overlaps come from the phase twirl over collective
+        # momentum and entries from the shifted amplitudes, all read before
+        # the matrix exists
+        rng = np.random.default_rng(seed)
+        state = random_pair(rng, d, view=view)
+        rho = twirl_displacement(state, shift_prior_family(rng, d)[prior_index])
+        kets = [rho.amplitudes.ravel(), random_state_vector(rng, d * d)]
+        rows, cols = rng.integers(0, d * d, (2, 200))
+        value = purity(rho)
+        fidelities = [fidelity_pure_mixed(ket, rho) for ket in kets]
+        entries = rho.entries(rows, cols)
+        assert "matrix" not in vars(rho)
+        m = rho.matrix
+        assert abs(value - np.sum(m * m.T).real) <= 1e-15
+        for ket, fidelity in zip(kets, fidelities):
+            assert abs(fidelity - np.vdot(ket, m @ ket).real) <= 1e-15
+        assert np.max(np.abs(entries - m[rows, cols])) <= 1e-15
+
+    def test_reads_build_no_matrix(self, monkeypatch):
+        def refuse(rho):
+            raise AssertionError(f"{type(rho).__name__}.matrix was read")
+
+        monkeypatch.setattr(PhaseTwirl, "matrix", property(refuse))
+        monkeypatch.setattr(PairTwirl, "matrix", property(refuse))
         rng = np.random.default_rng(21)
-        for prior in shift_prior_family(rng, 5):
-            rho = twirl_displacement(random_pair(rng, 5), prior)
-            m = rho.matrix
-            assert purity(rho) == np.sum(m * m.T).real
+        prior = parse_prior("vonmises:4")
+        single = twirl_single_mode(random_state_vector(rng, 6), prior)
+        two_mode = twirl_two_mode(random_state_vector(rng, 12).reshape(3, 4), prior)
+        pair = twirl_displacement(random_pair(rng, 5), shift_prior("vonmises:4", 5))
+        raw = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+        index = tuple(np.indices((25, 25)).reshape(2, -1))
+        hermitian = Observable(index, (raw + raw.conj().T)[index], 25, "lattice_pair")
+        cases = [
+            (single, single.psi, random_commutant_observable(5, 1)),
+            (two_mode, two_mode.psi, random_commutant_observable(5, 2, "block")),
+            (pair, pair.amplitudes.ravel(), hermitian),
+        ]
+        for rho, ket, observable in cases:
+            assert 0.0 < purity(rho) <= 1.0
+            assert 0.0 < fidelity_pure_mixed(ket, rho) <= 1.0
+            assert math.isfinite(expectation(observable, rho))
 
     def test_separable_input_keeps_pure_relative_factor(self):
         rng = np.random.default_rng(22)

@@ -229,6 +229,16 @@ class TestContractionOverlap:
         # |z|^2 overflows a float: both states sit on k = N
         assert contraction_overlap(1e155, 25) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "z, want", [(1e8, 0.9999999999999998392), (1e9, 0.9999999999999999984), (5e153, 1.0)]
+    )
+    def test_window_far_below_the_mean(self, z, want):
+        # tools/make_fixtures.contraction_overlap(z, 3) at 40 digits.  From
+        # mean |z|^2 the profile read NaN at 1e8, where D(1, 1e16) took
+        # log1p(-1), and 0.500000003 at 1e9, where D(k, |z|^2) of about
+        # |z|^2 swamps its k-dependence
+        assert abs(contraction_overlap(z, 3) - want) <= 2.3e-16
+
     @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1, math.inf)])
     def test_non_finite_amplitude_rejected(self, z):
         with pytest.raises(ValueError, match="finite"):

@@ -620,6 +620,25 @@ class TestFactoredTwirl:
         observables = [random_commutant_observable(n_top, seed + j, "block") for j in range(3)]
         assert_factored_reads_match_dense(rho, reference, observables)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        state=st.one_of(single_mode_states, two_mode_states),
+        prior_index=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_overlap_matches_dense(self, state, prior_index, seed):
+        # sum_m chi(m) sum_q c_q c_{q-m}^* against <phi| matrix |phi>, for
+        # phi the twirled ket itself and a random one
+        rng = np.random.default_rng(seed)
+        prior = prior_family(rng)[prior_index]
+        if state.ndim == 1:
+            rho = twirl_single_mode(state, prior)
+        else:
+            rho = twirl_two_mode(state, prior)
+        for phi in (rho.psi, random_state_vector(rng, rho.psi.size)):
+            value = rho.overlap(phi)
+            assert abs(value - np.vdot(phi, rho.matrix @ phi)) <= 1e-15
+
     @pytest.mark.parametrize("basis", ["fock", "block"])
     def test_reads_build_no_dense_matrix(self, basis):
         # the dense twirl is 64 MB (n <= 2000) or 160 MB (N <= 78) here; the

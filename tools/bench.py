@@ -136,6 +136,13 @@ CASES = [
         "purity(twirl_two_mode(state, prior))",
     ),
     call(
+        "fidelity_pure_mixed(psi, twirl_two_mode(...)), vonmises:4",
+        "alpha = 3",
+        TWO_MODE.format(alpha=3)
+        + "\nfrom relphase import fidelity_pure_mixed\npsi = twirl_two_mode(state, prior).psi",
+        "fidelity_pure_mixed(psi, twirl_two_mode(state, prior))",
+    ),
+    call(
         "expectation(random_commutant_observable(2 n_max, 0, block), rho), vonmises:4",
         "alpha = 2",
         SCORE.format(alpha=2),
@@ -157,6 +164,15 @@ CASES = [
         for d in (31, 61, 101)
     ),
     call("twirled_relative", "d = 101", PAIR.format(d=101), "twirled_relative(state, prior)"),
+    *(
+        call(
+            "purity(twirl_displacement(...)), vonmises:4",
+            f"d = {d}",
+            PAIR.format(d=d) + "\nfrom relphase import purity",
+            "purity(twirl_displacement(state, prior))",
+        )
+        for d in (61, 101)
+    ),
     call(
         "contraction_overlap(2, N)",
         "N = 10^6",

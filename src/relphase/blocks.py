@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SizeLimitError, coherent_vector
+from .fock import SizeLimitError, check_entries, coherent_vector
 
 __all__ = [
     "BlockState",
-    "MAX_GRID_ENTRIES",
     "block_dim",
     "block_index",
     "block_offset",
-    "check_grid_size",
     "default_cutoff",
     "from_blocks",
     "mean_photon_number",
@@ -28,17 +26,6 @@ __all__ = [
     "total_number",
     "two_mode_coherent",
 ]
-
-# Largest array of two-mode amplitudes, in entries, that the grid builders
-# and the grid-to-block scatter will allocate: 2**23 complex entries are
-# 134 MB.  At |alpha| = 1 a full grid from n = 0 reaches it near
-# |beta| = 620.  The block ket of an (n1, n2) grid has block_dim(n1 + n2)
-# entries, quadratic in n1 + n2, and reaches it near n1 + n2 = 4095.
-# factorization_fidelity checks the Poisson window of each mode against it,
-# which refuses |beta| = 19064 at |alpha| = 1, although it allocates only
-# 1-D profiles and, for the HS residual, row blocks of that window.
-MAX_GRID_ENTRIES = 2**23
-
 
 def default_cutoff(mag: float) -> int:
     """Photon-number truncation with a 10-standard-deviation Poisson guard.
@@ -56,18 +43,6 @@ def default_cutoff(mag: float) -> int:
     return math.ceil(cutoff)
 
 
-def check_grid_size(n1_max: int, n2_max: int):
-    """Raise SizeLimitError if an (n1_max+1) x (n2_max+1) grid exceeds
-    MAX_GRID_ENTRIES, before anything of that size is allocated.  A window
-    from (lo1, lo2) is checked as check_grid_size(n1_max - lo1, n2_max - lo2)."""
-    rows, cols = n1_max + 1, n2_max + 1
-    if rows * cols > MAX_GRID_ENTRIES:
-        raise SizeLimitError(
-            f"a {rows} x {cols} grid has {rows * cols} entries, "
-            f"above the limit of {MAX_GRID_ENTRIES}"
-        )
-
-
 def mean_photon_number(alpha: complex, beta: complex) -> float:
     """<N> = |alpha|^2 + |beta|^2."""
     return abs(alpha) ** 2 + abs(beta) ** 2
@@ -77,8 +52,9 @@ def two_mode_coherent(alpha: complex, beta: complex, n1_max: int, n2_max: int) -
     """Amplitude grid of |alpha> (x) |beta>:
 
     amplitude(n1, n2) = e^{-(|alpha|^2+|beta|^2)/2} alpha^n1 beta^n2 / sqrt(n1! n2!).
+    At |alpha| = 1 the full grid reaches MAX_ENTRIES near |beta| = 620.
     """
-    check_grid_size(n1_max, n2_max)
+    check_entries(n1_max + 1, n2_max + 1)
     return np.outer(coherent_vector(alpha, n1_max), coherent_vector(beta, n2_max))
 
 
@@ -136,17 +112,13 @@ class BlockState:
 def _block_ket(state: np.ndarray) -> tuple:
     """(ket, n_top): the entries of an (n1, n2) grid scattered to the flat
     block index block_offset(N) + n1 of blocks N = 0..n_top, zero where a
-    block reaches outside the grid.  A ket of more than MAX_GRID_ENTRIES
-    entries raises SizeLimitError before it is allocated."""
+    block reaches outside the grid.  The ket has block_dim(n1 + n2) entries,
+    quadratic in n1 + n2, and reaches MAX_ENTRIES near n1 + n2 = 4095."""
     state = np.asarray(state, dtype=complex)
-    index = block_index(state.shape)
     n_top = sum(state.shape) - 2
-    size = block_dim(n_top)
-    if size > MAX_GRID_ENTRIES:
-        raise SizeLimitError(
-            f"blocks N = 0..{n_top} hold {size} entries, above the limit of {MAX_GRID_ENTRIES}"
-        )
-    ket = np.zeros(size, dtype=complex)
+    check_entries(1, block_dim(n_top))
+    index = block_index(state.shape)
+    ket = np.zeros(block_dim(n_top), dtype=complex)
     ket[index] = state
     return ket, n_top
 

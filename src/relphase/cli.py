@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .blocks import check_grid_size, default_cutoff
+from .blocks import default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
 from .fock import SizeLimitError, coherent_vector, purity
 from .lattice import (
@@ -143,7 +143,6 @@ def cmd_twirl_demo(args) -> None:
     n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
-    check_grid_size(n_max, n_max)  # the twirl's .matrix, if read, is (n_max+1)^2
     n_rows = len(args.priors) * (args.n_observables + 1)
     if n_rows > MAX_TWIRL_ROWS:
         raise SizeLimitError(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import check_grid_size, default_cutoff, mean_photon_number
-from .fock import _clamp_unit, _coherent_window
+from .blocks import default_cutoff, mean_photon_number
+from .fock import _clamp_unit, _coherent_window, check_entries, check_exact
 from .spin import _poisson_window, _wh_window
 
 __all__ = [
@@ -68,13 +68,24 @@ class FactorizationReport:
     lo2: int
 
 
+def _normal(x: complex) -> complex:
+    """x, or x 2^64 where |x| is subnormal: the same phase, with a magnitude
+    that numpy can divide by (it multiplies by 1/|x|, which overflows there)."""
+    return x * 2.0**64 if abs(x) < np.finfo(float).tiny else x
+
+
 def relative_target(alpha: complex, beta: complex) -> complex:
     """WH amplitude z = |alpha| e^{i phi_r} carried by every block of the
-    product construction (phi_r = arg(alpha) - arg(beta))."""
+    product construction (phi_r = arg(alpha) - arg(beta)).  A mean photon
+    number |alpha|^2 + |beta|^2 of 2^53 or more raises SizeLimitError
+    before any square is formed in numpy, where it could overflow."""
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise ValueError(f"mode amplitudes must be finite, got alpha={alpha}, beta={beta}")
     if beta == 0:
         raise ValueError("relative phase is undefined for beta = 0")
+    mag = math.hypot(abs(alpha), abs(beta))
+    check_exact(mag * mag, "a mean photon number")
+    beta = _normal(beta)
     return complex(alpha * np.conj(beta) / abs(beta))
 
 
@@ -161,10 +172,8 @@ def _product_profiles(
     p_N = e^{-nhat/2} (sqrt(nhat) * collective_phase)^N / sqrt(N!) times the
     WH profile w_k of amplitude z renormalized over k = 0..N, so
     s_N = p_N W_N^{-1/2} (inv_norm holds W_N^{-1/2}) and sector N holds
-    |s_N|^2 times the |w_k|^2 of its rows.  The size check runs before
-    anything is allocated.
+    |s_N|^2 times the |w_k|^2 of its rows.
     """
-    check_grid_size(n1_max - lo1, n2_max - lo2)
     n_lo, n_top = lo1 + lo2, n1_max + n2_max
     poisson = _coherent_window(math.sqrt(nhat) * collective_phase, n_lo, n_top)
     wh, inv_norm = _wh_profile(z, lo1, n1_max, n_lo, n_top)
@@ -178,6 +187,7 @@ def _product_grid(
     """Unnormalized product-construction grid over the window rows
     lo1..n1_max x columns lo2..n2_max (_product_profiles), plus its retained
     squared mass."""
+    check_entries(n1_max - lo1 + 1, n2_max - lo2 + 1)
     s, wh, _, mass = _product_profiles(nhat, collective_phase, z, n1_max, n2_max, lo1, lo2)
     return _by_sector(s, slice(0, wh.size), n2_max - lo2 + 1) * wh[:, None], _fsum(mass)
 
@@ -192,8 +202,8 @@ def approx_product(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> n
     z = relative_target(alpha, beta)
     n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
     n2_max = default_cutoff(abs(beta)) if n2_max is None else n2_max
-    nhat = mean_photon_number(alpha, beta)
-    grid, mass = _product_grid(nhat, beta / abs(beta), z, n1_max, n2_max)
+    nhat, phase = mean_photon_number(alpha, beta), _normal(beta)
+    grid, mass = _product_grid(nhat, phase / abs(phase), z, n1_max, n2_max)
     return grid / math.sqrt(mass)
 
 
@@ -326,7 +336,8 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     lo2 = start(beta_sq, beta_sq + 2.0 * alpha_sq, n2_max)
     nhat = mean_photon_number(alpha, beta)
 
-    check_grid_size(n1_max - lo1, n2_max - lo2)
+    # the residual walks this window: it refuses |beta| = 19064 at |alpha| = 1
+    check_entries(n1_max - lo1 + 1, n2_max - lo2 + 1)
     u = _coherent_window(alpha, lo1, n1_max)
     v = _coherent_window(beta, lo2, n2_max)
     pa = np.convolve(_abs2(u), _abs2(v))
@@ -335,7 +346,8 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
         raise InsufficientCutoffError(
             f"cutoffs ({n1_max}, {n2_max}) retain only {exact_mass!r} of the exact state"
         )
-    s, wh, inv_norm, pb = _product_profiles(nhat, beta / abs(beta), z, n1_max, n2_max, lo1, lo2)
+    phase = _normal(beta)
+    s, wh, inv_norm, pb = _product_profiles(nhat, phase / abs(phase), z, n1_max, n2_max, lo1, lo2)
     product_mass = _fsum(pb)
     if product_mass < MIN_RETAINED_MASS:
         raise InsufficientCutoffError(

@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "DensityMatrix",
+    "MAX_ENTRIES",
     "SizeLimitError",
     "coherent_vector",
     "fidelity_pure_mixed",
@@ -25,8 +26,30 @@ __all__ = [
 CLAMP_TOL = 1e-9
 
 
+# Largest array, in entries, that an input-sized allocation may take: 2**23
+# complex entries are 134 MB.  Each allocation whose size follows from the
+# input calls check_entries just before it allocates.
+MAX_ENTRIES = 2**23
+
+
 class SizeLimitError(ValueError):
-    """Raised before allocating an array larger than a module's size limit."""
+    """Raised before allocating an array of more than MAX_ENTRIES entries, or
+    for a photon number that floats do not count exactly."""
+
+
+def check_exact(n, what: str):
+    """Raise SizeLimitError if the photon number n is 2^53 or more, where a
+    float stops counting integers exactly; ``what`` names n."""
+    if n >= 2**53:
+        raise SizeLimitError(f"{what} of 2^53 or more is beyond exact floats")
+
+
+def check_entries(rows: int, cols: int):
+    """Raise SizeLimitError if a rows x cols array would exceed MAX_ENTRIES,
+    before anything of that size is allocated."""
+    if rows * cols > MAX_ENTRIES:
+        size = f"a {rows} x {cols} grid has {rows * cols} entries"
+        raise SizeLimitError(f"{size}, above the limit of {MAX_ENTRIES}")
 
 
 # log n! = n ln n - n + R(n), with the Stirling remainder
@@ -163,13 +186,14 @@ def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
     """The amplitudes of coherent_vector(alpha, n_max) at n = n_min..n_max
     only, each the same float: a Poisson window of a mode with nothing
     below it allocated.  An n_max of 2^53 or more, where a float stops
-    counting photon numbers exactly, raises SizeLimitError."""
+    counting photon numbers exactly, or a window above MAX_ENTRIES raises
+    SizeLimitError."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if n_max >= 2**53:
-        raise SizeLimitError("a photon-number cutoff of 2^53 or more is beyond exact floats")
+    check_exact(n_max, "a photon-number cutoff")
     if not np.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    check_entries(1, n_max - n_min + 1)
     n = np.arange(n_min, n_max + 1)
     if alpha == 0:
         return (n == 0).astype(complex)

@@ -13,8 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import check_grid_size
-from .fock import DensityMatrix
+from .fock import DensityMatrix, check_entries
 from .twirl import TWO_PI, PhaseTwirl, PriorGrid, _check_prior_weights, _phase_twirl
 from .twirl import read_prior_rows, read_prior_spec, von_mises_prior
 
@@ -40,10 +39,10 @@ RELATIVE = "relative"
 
 def _require_odd(d: int) -> int:
     """d itself, if it is an odd lattice dimension >= 3 whose d x d pair
-    grid is within the grid size limit."""
+    grid is within MAX_ENTRIES."""
     if d % 2 == 0 or d < 3:
         raise ValueError(f"lattice dimension must be odd and >= 3, got {d}")
-    check_grid_size(d - 1, d - 1)
+    check_entries(d, d)
     return d
 
 

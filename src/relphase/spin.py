@@ -14,33 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SizeLimitError, _clamp_unit, _deviance, _log_poisson, _stirling_remainder
+from .fock import _clamp_unit, _deviance, _log_poisson, _stirling_remainder
+from .fock import check_entries, check_exact
 
 __all__ = [
-    "MAX_SPIN_N",
     "SpinParams",
     "contraction_overlap",
     "embed_wh",
     "params_from_modes",
     "spin_coherent",
 ]
-
-# Largest spin size contraction_overlap accepts; a larger N raises
-# SizeLimitError (exit 3 in the CLI).  It no longer guards memory: the overlap
-# touches only the window of k where the WH profile is representable, O(|z|)
-# entries at any N.  It keeps the accepted range of N as documented; the
-# mpmath stress rows check N up to 10**6.
-MAX_SPIN_N = 2**24
-
-# Half-widths of the WH window in _wh_window: outside it every amplitude,
-# rescaled by the largest one at k <= N, is below e^-745 and underflows to 0.
-# With mu = |z|^2 the squared profile is a Poisson law, whose log falls by at
-# least t^2 / (2 mu) at k = mu - t and by t^2 / (2 (mu + t/3)) at k = mu + t;
-# 1490 = 2 * 745 is reached by t = 56|z| + 10 below and 56|z| + 1000 above.
-WINDOW_WIDTH = 56.0
-WINDOW_MARGIN_BELOW = 10.0
-WINDOW_MARGIN_ABOVE = 1000.0
-
 
 @dataclass(frozen=True)
 class SpinParams:
@@ -128,18 +111,28 @@ def _wh_window(z: complex, big_n: int) -> np.ndarray:
 
     The profile k ln|z| - log(k!)/2 is concave with its top at
     p = min(|z|^2, N), so the window is p - 56|z| - 10 ... p + 56|z| + 1000,
-    clipped to [0, N]: O(|z|) entries at any N.  z = 0 gives k = [0].  A
-    non-finite z raises ValueError.
+    clipped to [0, N]: O(|z|) entries at any N.  Below |z|^2 it is also at
+    most 1490 / ln(|z|^2 / N) + 11 entries.  z = 0 gives k = [0].  A
+    non-finite z raises ValueError; a window above MAX_ENTRIES raises
+    SizeLimitError.
     """
     if not np.isfinite(z):
         raise ValueError(f"coherent amplitude must be finite, got {z}")
     if z == 0:
         return np.zeros(1, dtype=int)
+    # Outside the window every amplitude, rescaled by the top, is below e^-745.
+    # With mu = |z|^2 the squared profile is a Poisson law, whose log falls by
+    # at least t^2 / (2 mu) at k = mu - t and by t^2 / (2 (mu + t/3)) at
+    # k = mu + t; 1490 = 2 * 745 is reached by t = 56|z| + 10 below and
+    # 56|z| + 1000 above.  For 0 < N < mu the top is at k = N, and each step
+    # down from it loses at least ln(mu / N) / 2, so t = 1490 / ln(mu / N) + 10
+    # below is enough too; the slope comes from logs, so mu may overflow.
     mag = float(abs(z))
-    spread = WINDOW_WIDTH * mag
-    lo, hi = _poisson_window(
-        min(mag * mag, big_n), spread + WINDOW_MARGIN_BELOW, spread + WINDOW_MARGIN_ABOVE, big_n
-    )
+    spread = 56.0 * mag
+    slope = 2.0 * math.log(mag) - math.log(max(big_n, 1))  # N = 0 gives [0] anyway
+    below = min(spread, 1490.0 / slope) if slope > 0.0 else spread
+    lo, hi = _poisson_window(min(mag * mag, big_n), below + 10.0, spread + 1000.0, big_n)
+    check_entries(1, hi - lo + 1)
     return np.arange(lo, hi + 1)
 
 
@@ -182,12 +175,12 @@ def contraction_overlap(z: complex, big_n: int) -> float:
     WH coherent state when the stereographic parameter shrinks like
     1/sqrt(N).  Both states carry the phase arg(z) k, so the overlap is
     (sum_k |w_k| |s_k|)^2 / sum_k |w_k|^2, summed in log space over the
-    window of _log_wh_window only.  N above MAX_SPIN_N raises SizeLimitError.
+    window of _log_wh_window only.  An N of 2^53 or more, where a float
+    stops counting photon numbers exactly, raises SizeLimitError.
     """
     if big_n < 1:
         raise ValueError(f"N must be >= 1, got {big_n}")
-    if big_n > MAX_SPIN_N:
-        raise SizeLimitError(f"N = {big_n} is above the limit of {MAX_SPIN_N}")
+    check_exact(big_n, "a spin size")
     k, log_w = _log_wh_window(z, big_n)
     if z == 0:
         return 1.0

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
+from .fock import check_entries
 
 __all__ = [
     "Observable",
@@ -259,6 +260,7 @@ def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwir
     if isinstance(prior, UniformPrior):
         half = np.zeros(span + 1, dtype=complex)
     else:
+        check_entries(span + 1, prior.angles.size)
         half = np.exp(-1j * np.outer(np.arange(span + 1), prior.angles)) @ prior.weights
     half[0] = 1.0  # the total weight, 1 to 1e-12 (_check_prior_weights)
     return PhaseTwirl(psi, labels, np.concatenate([half[:0:-1].conj(), half]), basis)
@@ -333,10 +335,11 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
         # one draw z per entry on or above each block's diagonal, row by row;
         # H = (T + T^dag) / 2 with T_kk = z and T_kl = sqrt(2) z above it, so
         # H_kk = Re z is N(0, 1) and H_kl = H_lk^* has N(0, 1/2) parts
+        n_entries = (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
+        check_entries(1, n_entries)
         above = np.tri(n_max + 1, dtype=bool).T
         scale = np.where(np.eye(n_max + 1, dtype=bool), 1.0, np.sqrt(2.0))
         draws = draw((n_max + 1) * (n_max + 2) * (n_max + 3) // 6)
-        n_entries = (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
         index, values = np.empty((2, n_entries), dtype=int), np.empty(n_entries, dtype=complex)
         drawn = stored = 0
         for size in range(1, n_max + 2):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HAS_VMHWM, RUN_CLI, peak_mb
 from relphase import cli
@@ -257,10 +262,14 @@ class TestTwirlDemo:
         ("contract-overlap", "--z", "1e155"),
         ("contract-overlap", "--z", "1.7e308", "--n-grid", "5"),
         ("contract-overlap", "--z", "1e8", "--n-grid", "3"),
+        # N = 2^24 + 1 was above a spin-size limit that guarded no allocation
+        ("contract-overlap", "--z", "1", "--n-grid", "25,16777217"),
+        # the twirl allocates O(n_max); its (n_max+1)^2 matrix is never read
+        ("twirl-demo", "--n-max", "2896"),
     ],
     ids=[
         "twirl-kappa-", "twirl-kappa+", "way-kappa-", "way-kappa+", "twirl-alpha", "alpha", "z",
-        "z-max", "z-far-above-n",
+        "z-max", "z-far-above-n", "spin-size", "twirl-n-max",
     ],
 )
 def test_extreme_inputs_run_silently(args):
@@ -335,10 +344,15 @@ def test_bad_magnitude_is_config_error(args):
         # object array (an IndexError traceback)
         ("factorize-sweep", "--alpha", "1e150", "--beta-list", "1"),
         ("factorize-sweep", "--alpha", "1", "--beta-list", "1e150"),
-        ("contract-overlap", "--z", "1", "--n-grid", "25,16777217"),
-        # a (n_max+1)^2 dense twirl at n_max of about 1e12
+        # N = 2^53, beyond the integers a float counts exactly
+        ("contract-overlap", "--z", "1", "--n-grid", "9007199254740992"),
+        # a WH window of 11.2M entries, 56|z| + 10 below its top at N = |z|^2
+        ("contract-overlap", "--z", "2e5", "--n-grid", "40000000000"),
+        # a coherent window of about 1e12 entries
         ("twirl-demo", "--alpha", "1e6"),
-        ("twirl-demo", "--n-max", "2896"),
+        ("twirl-demo", "--n-max", "8388608", "--prior", "uniform"),
+        # a 32769 x 256 table of the von Mises characteristic function
+        ("twirl-demo", "--n-max", "32768"),
         # a 2897 x 2897 pair grid, just above the limit; 99999 was a numpy
         # memory-error traceback after the d = 3 rows were computed
         ("way-demo", "--dim-list", "2897"),
@@ -353,9 +367,11 @@ def test_bad_magnitude_is_config_error(args):
         "cutoff-overflow",
         "alpha-cutoff-inexact",
         "beta-cutoff-inexact",
-        "spin-size",
+        "spin-exact",
+        "spin-window",
         "twirl-alpha",
-        "twirl-n-max",
+        "twirl-psi",
+        "twirl-chi",
         "way-d",
         "way-d-list",
         "way-d-before-odd",
@@ -692,3 +708,153 @@ class TestSeededContent:
         assert result.returncode == 0, result.stderr
         printed = result.stdout.splitlines()
         assert [line for line in printed if marker is None or marker in line] == lines
+
+
+# argv fuzz: every drawn command line either prints finite numbers with
+# nothing on stderr (exit 0) or exits 2 or 3 with one stderr line.  Sizes
+# stay small, but for values that a command refuses before it allocates.
+SPECIAL_FLOATS = ["0", "-0.0", "1e-200", "2e-162", "1e150", "1.7e308", "inf", "nan", "-1", "x"]
+SPECIAL_INTS = ["-1", "0", "9007199254740991", "9007199254740992", "1e3"]
+
+
+def _mostly(values, special):
+    """A draw of ``values``, or of the ``special`` strings one time in eight."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(special) if i == 0 else values)
+
+
+def _floats(high):
+    return _mostly(st.floats(0.0, high).map(repr), SPECIAL_FLOATS)
+
+
+def _ints(low, high):
+    return _mostly(st.integers(low, high).map(str), SPECIAL_INTS)
+
+
+def _csv_list(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+PRIORS = st.lists(
+    _mostly(
+        st.one_of(
+            st.sampled_from(["uniform", "point:0", "point:-7", "twopoint:0,3.14", "twopoint:1,1"]),
+            st.floats(-50.0, 50.0).map(lambda kappa: f"vonmises:{kappa!r}"),
+        ),
+        ["vonmises:1e308", "vonmises:nan", "point:inf", "uniform:1", "twopoint:1", "bogus"],
+    ),
+    min_size=1,
+    max_size=3,
+)
+PHASES = _mostly(st.floats(-10.0, 10.0).map(repr), ["1e308", "nan", "-inf"])
+# (required, optional) flags of each command; every command also draws from SHARED_FLAGS
+FUZZ_FLAGS = {
+    "factorize-sweep": (
+        {"--alpha": _floats(30.0), "--beta-list": _csv_list(_floats(40.0))},
+        {
+            "--alpha-phase": PHASES,
+            "--beta-phase": PHASES,
+            "--n1-max": _ints(-1, 80),
+            "--n2-max": _ints(-1, 80),
+        },
+    ),
+    "contract-overlap": (
+        {"--z": _floats(1000.0)},
+        {"--z-phase": PHASES, "--n-grid": _csv_list(_ints(1, 10**6))},
+    ),
+    "twirl-demo": (
+        {},
+        {
+            "--alpha": _floats(5.0),
+            "--alpha-phase": PHASES,
+            "--n-max": _ints(0, 100),
+            "--n-observables": _mostly(st.integers(0, 3).map(str), ["-1"]),
+            "--prior": PRIORS,
+        },
+    ),
+    "way-demo": (
+        {},
+        {
+            "--dim-list": _csv_list(
+                _mostly(st.sampled_from(range(3, 17, 2)).map(str), ["-1", "4", "2897"])
+            ),
+            "--prior": PRIORS,
+        },
+    ),
+}
+SHARED_FLAGS = {
+    "--output": _mostly(st.sampled_from(["csv", "json"]), ["xml"]),
+    "--seed": _mostly(st.integers(0, 9).map(str), ["-1", str(2**70)]),
+}
+
+
+def _argv(command):
+    """A command line of ``command``: its required flags and a random subset
+    of the others, in a random order."""
+    required, optional = FUZZ_FLAGS[command]
+
+    def tokens(given):
+        argv = [command]
+        for flag, value in given:
+            for one in value if isinstance(value, list) else [value]:
+                argv += [flag, one]
+        return argv
+
+    flags = st.fixed_dictionaries(required, optional={**optional, **SHARED_FLAGS})
+    return flags.flatmap(lambda given: st.permutations(list(given.items()))).map(tokens)
+
+
+def _tables(text, output):
+    """The config echo and the rows of a printed table, as dicts."""
+    if output == "json":
+        payload = json.loads(text, parse_constant=float)
+        return payload["config"], payload["rows"]
+    config, _, rows = parse_csv(text)
+    return config, rows
+
+
+def _number(value):
+    """``value`` as a float, or None for a list or a string that is no number
+    (a prior spec or an observable name)."""
+    if isinstance(value, (list, type(None))):
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main(argv); each warning counts as
+    a stderr line, as an interpreter would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    lines = [f"{warning.category.__name__}: {warning.message}\n" for warning in caught]
+    return code, out.getvalue(), err.getvalue() + "".join(lines)
+
+
+@pytest.mark.parametrize("command", list(FUZZ_FLAGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_command_line_prints_finite_numbers_or_one_error_line(command, data):
+    argv = data.draw(_argv(command))
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2, 3), (code, err)
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("relphase: "), err
+        return
+    assert err == ""
+    config, rows = _tables(out, cli.parse_args(argv).output)
+    for row in [config, *rows]:
+        for column, value in row.items():
+            number = _number(value)
+            if number is None or math.isfinite(number):
+                continue
+            # the one exception: a ratio (|alpha|^2 + |beta|^2) / |alpha|^2
+            # beyond the float range, as where |alpha|^2 underflows
+            assert column == "condition_ratio" and number == math.inf, (column, value)
+            alpha_sq = float(row["alpha_mag"]) ** 2
+            assert alpha_sq == 0.0 or (alpha_sq + float(row["beta_mag"]) ** 2) / alpha_sq > 1e307

@@ -25,7 +25,6 @@ from relphase import (
     twirled_hs_distance,
     two_mode_coherent,
 )
-from relphase.blocks import MAX_GRID_ENTRIES
 from relphase.factorize import (
     MIN_RETAINED_MASS,
     _product_grid,
@@ -33,7 +32,7 @@ from relphase.factorize import (
     _weighted_overlap,
     _wh_profile,
 )
-from relphase.fock import _coherent_window
+from relphase.fock import MAX_ENTRIES, _coherent_window
 
 from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, peak_mb
 
@@ -507,7 +506,7 @@ class TestStressOracle:
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
     def test_sweep_memory_is_linear_in_the_window(self, tmp_path):
         # The window is 22 x 60022 entries (21 MB per grid); the full grid,
-        # 22 x 9030011 entries, is above MAX_GRID_ENTRIES and was refused.
+        # 22 x 9030011 entries, is above MAX_ENTRIES and was refused.
         out = tmp_path / "sweep.csv"
         args = ["factorize-sweep", "--alpha", "1", "--beta-list", "3000", "--out", str(out)]
         assert peak_mb(RUN_CLI, *args) < 100
@@ -545,8 +544,8 @@ class TestInputLimits:
         # each grid is within 44 entries of the limit, so a missing guard
         # would allocate about 140 MB, not tens of GB
         with pytest.raises(SizeLimitError, match="limit"):
-            two_mode_coherent(1.0, 1.0, 0, MAX_GRID_ENTRIES)
-        n2_max = MAX_GRID_ENTRIES // 22
+            two_mode_coherent(1.0, 1.0, 0, MAX_ENTRIES)
+        n2_max = MAX_ENTRIES // 22
         with pytest.raises(SizeLimitError, match="limit"):
             approx_product(1.0, 620.0, n1_max=21, n2_max=n2_max)
         # |beta| = 19064 is the first whose window, 22 x 381302 entries,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from relphase import (
     to_blocks,
     two_mode_coherent,
 )
-from relphase.spin import MAX_SPIN_N, _log_spin_profile, _log_wh_window
+from relphase.fock import _log_poisson
+from relphase.spin import _log_spin_profile, _log_wh_window
 
 from conftest import FIXTURES
 
@@ -43,6 +45,20 @@ def full_contraction_overlap(z, big_n):
         + 1j * np.angle(xi) * k
     )
     return min(float(abs(np.vdot(wh, spin)) ** 2), 1.0)
+
+
+def wide_window_overlap(mag, big_n):
+    """contraction_overlap(mag, N) for 0 < N < mag^2, summed over the whole
+    window k = N - 56 mag - 10 .. N, which the slope bound narrows."""
+    k = np.arange(max(0, math.floor(big_n - 56.0 * mag - 10.0)), big_n + 1)
+    if big_n < 0.5 * mag * mag:
+        log_w = 0.5 * _log_poisson(k, 1.0) + math.log(mag) * k
+    else:
+        log_w = 0.5 * _log_poisson(k, mag)
+    log_w -= log_w.max()
+    log_s = _log_spin_profile(big_n, mag / math.sqrt(big_n), k)
+    cross = np.sum(np.exp(log_w + log_s))
+    return min(float(cross * cross / np.sum(np.exp(2.0 * log_w))), 1.0)
 
 
 class TestParamsFromModes:
@@ -171,8 +187,29 @@ class TestContractionOverlap:
             contraction_overlap(1, 0)
 
     def test_oversize_refused_before_allocation(self):
-        with pytest.raises(SizeLimitError, match="limit"):
-            contraction_overlap(1, MAX_SPIN_N + 1)
+        # above 2^53 a float no longer counts spin sizes exactly
+        with pytest.raises(SizeLimitError, match="2\\^53"):
+            contraction_overlap(1, 2**53)
+        assert contraction_overlap(1, 2**53 - 1) == 1.0
+
+    @pytest.mark.parametrize("mag", [2.0, 8.0, 30.0, 100.0, 300.0])
+    @pytest.mark.parametrize("ratio", [100.0, 10.0, 3.0, 1.01])
+    def test_window_below_the_mean_matches_the_wide_window(self, mag, ratio):
+        # below |z|^2 the top is at k = N and the profile falls by at least
+        # ln(|z|^2 / N) / 2 per step down, so the window keeps about
+        # 1490 / ln(|z|^2 / N) entries of the 56|z| + 10 below N
+        big_n = max(1, math.floor(mag * mag / ratio))
+        want = wide_window_overlap(mag, big_n)
+        assert contraction_overlap(mag, big_n) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_window_below_the_mean_stays_small(self):
+        # the 56|z| + 10 window of all N + 1 entries took 6.8 s and 1.5 GB
+        tracemalloc.start()
+        try:
+            assert 0.0 < contraction_overlap(1e6, 2**24) < 1e-100
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -11,6 +11,7 @@ from relphase import (
     DensityMatrix,
     Observable,
     PriorGrid,
+    SizeLimitError,
     UniformPrior,
     coherence_witness,
     coherent_vector,
@@ -683,6 +684,28 @@ def test_chi_half_table_matches_full_table(prior, span):
     psi = np.zeros(span + 1, dtype=complex)
     psi[0] = 1.0
     assert np.array_equal(twirl_single_mode(psi, prior).chi, full_chi(span, prior))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda psi: twirl_single_mode(psi, von_mises_prior(4)), "a 32769 x 256 grid"),
+        (lambda psi: random_commutant_observable(400, 0, "block"), "21574201 entries"),
+    ],
+    ids=["chi-table", "block-observable"],
+)
+def test_oversize_table_refused_before_allocation(call, message):
+    # the 256-point chi table of 32769 labels (134 MB) and the stored
+    # entries of 401 Hermitian blocks (345 MB) are above MAX_ENTRIES
+    psi = np.zeros(32769, dtype=complex)
+    psi[0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=message):
+            call(psi)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 class TestSeededDraws:

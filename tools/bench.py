@@ -179,9 +179,15 @@ CASES = [
         "from relphase import contraction_overlap",
         "contraction_overlap(2, 10**6)",
     ),
+    call(
+        "contraction_overlap(1e6, N)",
+        "N = 2^24",
+        "from relphase import contraction_overlap",
+        "contraction_overlap(1e6, 2**24)",
+    ),
     process(
         "CLI twirl-demo --n-max 2895 --n-observables 1 --prior uniform",
-        "at the grid limit",
+        "n_max = 2895",
         cli("twirl-demo", "--n-max", "2895", "--n-observables", "1", "--prior", "uniform"),
     ),
     process(

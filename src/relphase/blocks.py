@@ -23,7 +23,6 @@ __all__ = [
     "from_blocks",
     "mean_photon_number",
     "to_blocks",
-    "total_number",
     "two_mode_coherent",
 ]
 
@@ -58,14 +57,6 @@ def two_mode_coherent(alpha: complex, beta: complex, n1_max: int, n2_max: int) -
     return np.outer(coherent_vector(alpha, n1_max), coherent_vector(beta, n2_max))
 
 
-def total_number(shape) -> np.ndarray:
-    """Charge label N = n1 + n2 of every entry of an (n1, n2) grid of the
-    given shape: the total photon number that sorts entries into blocks."""
-    if len(shape) != 2:
-        raise ValueError(f"expected a 2-D amplitude grid, got shape {shape}")
-    return np.add.outer(np.arange(shape[0]), np.arange(shape[1]))
-
-
 def block_offset(big_n: int) -> int:
     """Flat index of (N, k=0) when blocks are concatenated in N order."""
     return big_n * (big_n + 1) // 2
@@ -78,8 +69,10 @@ def block_dim(n_top: int) -> int:
 
 def block_index(shape) -> np.ndarray:
     """Flat block index block_offset(N) + n1 of every entry of an (n1, n2)
-    grid of the given shape, with blocks concatenated in N order."""
-    return block_offset(total_number(shape)) + np.arange(shape[0])[:, None]
+    grid of the given shape, with blocks concatenated in N order: N = n1 + n2
+    is the total photon number that sorts entries into blocks."""
+    n1 = np.arange(shape[0])
+    return block_offset(np.add.outer(n1, np.arange(shape[1]))) + n1[:, None]
 
 
 @dataclass(frozen=True)
@@ -109,12 +102,21 @@ class BlockState:
         return float(np.sqrt(sum(abs(w) ** 2 for w in self.weights)))
 
 
+def _grid(state) -> np.ndarray:
+    """``state`` as a complex (n1, n2) amplitude grid; any other number of
+    axes raises ValueError."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim != 2:
+        raise ValueError(f"expected a 2-D amplitude grid, got shape {state.shape}")
+    return state
+
+
 def _block_ket(state: np.ndarray) -> tuple:
     """(ket, n_top): the entries of an (n1, n2) grid scattered to the flat
     block index block_offset(N) + n1 of blocks N = 0..n_top, zero where a
     block reaches outside the grid.  The ket has block_dim(n1 + n2) entries,
     quadratic in n1 + n2, and reaches MAX_ENTRIES near n1 + n2 = 4095."""
-    state = np.asarray(state, dtype=complex)
+    state = _grid(state)
     n_top = sum(state.shape) - 2
     check_entries(1, block_dim(n_top))
     index = block_index(state.shape)
@@ -155,6 +157,7 @@ def from_blocks(blocks: BlockState, n1_max: int, n2_max: int):
     if min(n1_max, n2_max) < 0:
         raise ValueError(f"target cutoffs must be >= 0, got ({n1_max}, {n2_max})")
     flat = blocks.flatten()
+    check_entries(n1_max + 1, n2_max + 1)
     index = block_index((n1_max + 1, n2_max + 1))
     inside = index < flat.size  # entries with N above the blocks' n_max stay zero
     grid = np.zeros(index.shape, dtype=complex)

@@ -26,9 +26,8 @@ import numpy as np
 from .blocks import default_cutoff
 from .factorize import InsufficientCutoffError, sweep_fidelity
 from .fock import SizeLimitError, coherent_vector, purity
-from .lattice import (
-    QuditPairState, _require_odd, relative_pair, shift_prior, sum_gate, twirled_relative
-)
+from .lattice import QuditPairState, _require_odd, reduced_relative, relative_pair, shift_prior
+from .lattice import sum_gate, twirl_displacement
 from .spin import contraction_overlap
 from .twirl import _Gaussians, coherence_witness, expectation, parse_prior
 from .twirl import random_commutant_observable, twirl_single_mode
@@ -121,8 +120,6 @@ def cmd_factorize_sweep(args) -> None:
 
 def cmd_contract_overlap(args) -> None:
     n_grid = _list(args.n_grid, int, "integers")
-    if any(n < 1 for n in n_grid):
-        raise ValueError("N grid entries must be >= 1")
     z = _complex("--z", args.z, args.z_phase)
     rows = [
         {
@@ -196,10 +193,12 @@ def cmd_way_demo(args) -> None:
     for d in dims:
         priors = [(spec, shift_prior(spec, d)) for spec in args.priors]
         for scenario, state in _way_scenarios(d, draw).items():
-            for spec, prior in priors:
-                # rho_rel is the same under every prior, the point prior at
-                # X = 0 included, so its overlap with the input's is its purity
-                value = float(purity(twirled_relative(state, prior)))
+            # every prior is checked, in order, but rho_rel = A A^dag is the
+            # same under every prior, the point prior at X = 0 included, so it
+            # is formed once, and its overlap with the input's is its purity
+            twirls = [twirl_displacement(state, prior) for _, prior in priors]
+            value = float(purity(reduced_relative(twirls[0])))
+            for spec, _ in priors:
                 row = {"d": int(d), "scenario": scenario, "prior": spec, "relative_purity": value}
                 rows.append({**row, "relative_fidelity_to_input": value})
     _emit(args, rows, dim_list=dims)

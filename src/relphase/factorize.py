@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import default_cutoff, mean_photon_number
+from .blocks import _grid, default_cutoff, mean_photon_number
 from .fock import _clamp_unit, _coherent_window, check_entries, check_exact
-from .spin import _poisson_window, _wh_window
+from .spin import _check_modes, _poisson_window, _wh_window
 
 __all__ = [
     "FactorizationReport",
@@ -78,21 +78,13 @@ def relative_target(alpha: complex, beta: complex) -> complex:
     """WH amplitude z = |alpha| e^{i phi_r} carried by every block of the
     product construction (phi_r = arg(alpha) - arg(beta)).  A mean photon
     number |alpha|^2 + |beta|^2 of 2^53 or more raises SizeLimitError
-    before any square is formed in numpy, where it could overflow."""
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise ValueError(f"mode amplitudes must be finite, got alpha={alpha}, beta={beta}")
-    if beta == 0:
-        raise ValueError("relative phase is undefined for beta = 0")
+    before any square is formed in numpy, where it could overflow.  A
+    non-finite amplitude or beta = 0 raises ValueError."""
+    _check_modes(alpha, beta)
     mag = math.hypot(abs(alpha), abs(beta))
     check_exact(mag * mag, "a mean photon number")
     beta = _normal(beta)
     return complex(alpha * np.conj(beta) / abs(beta))
-
-
-def _grid_shape(state: np.ndarray) -> tuple:
-    if state.ndim != 2:
-        raise ValueError(f"expected a 2-D amplitude grid, got shape {state.shape}")
-    return state.shape
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -192,6 +184,16 @@ def _product_grid(
     return _by_sector(s, slice(0, wh.size), n2_max - lo2 + 1) * wh[:, None], _fsum(mass)
 
 
+def _normalized(grid: np.ndarray, mass: float) -> np.ndarray:
+    """grid / sqrt(mass); a mass below the smallest normal float, which the
+    cutoffs leave when they miss the state's support, raises
+    InsufficientCutoffError instead of a NaN grid."""
+    if mass < np.finfo(float).tiny:
+        cutoffs = tuple(size - 1 for size in grid.shape)
+        raise InsufficientCutoffError(f"cutoffs {cutoffs} retain only {mass!r} of the product state")
+    return grid / math.sqrt(mass)
+
+
 def approx_product(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> np.ndarray:
     """Normalized product approximation of |alpha> (x) |beta>.
 
@@ -203,8 +205,7 @@ def approx_product(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> n
     n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
     n2_max = default_cutoff(abs(beta)) if n2_max is None else n2_max
     nhat, phase = mean_photon_number(alpha, beta), _normal(beta)
-    grid, mass = _product_grid(nhat, phase / abs(phase), z, n1_max, n2_max)
-    return grid / math.sqrt(mass)
+    return _normalized(*_product_grid(nhat, phase / abs(phase), z, n1_max, n2_max))
 
 
 def approx_product_balanced(alpha: complex, phi_r: float, n_max=None) -> np.ndarray:
@@ -218,13 +219,19 @@ def approx_product_balanced(alpha: complex, phi_r: float, n_max=None) -> np.ndar
     one fixed profile, so this construction compares poorly against the
     exact state and keeps degrading as |alpha| grows; it exists as the
     counterpoint to the asymmetric route.
+
+    A non-finite alpha or phi_r raises ValueError, and a mean photon number
+    2|alpha|^2 of 2^53 or more SizeLimitError, before any numpy arithmetic.
     """
-    mag = abs(alpha)
+    if not (np.isfinite(alpha) and np.isfinite(phi_r)):
+        raise ValueError(f"alpha and phi_r must be finite, got alpha={alpha}, phi_r={phi_r}")
+    mag = float(abs(alpha))
+    nhat = 2.0 * mag * mag
+    check_exact(nhat, "a mean photon number")
     n_max = default_cutoff(mag) if n_max is None else n_max
     z = math.sqrt(2) * mag * np.exp(1j * phi_r)
     collective_phase = np.exp(1j * (np.angle(alpha) - phi_r))
-    grid, mass = _product_grid(2.0 * mag * mag, collective_phase, z, n_max, n_max)
-    return grid / math.sqrt(mass)
+    return _normalized(*_product_grid(nhat, collective_phase, z, n_max, n_max))
 
 
 def _conj_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -273,11 +280,10 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     relative sector label matters, so the grids may be any common window of
     the (n1, n2) plane.
     """
-    a = np.asarray(state_a, dtype=complex)
-    b = np.asarray(state_b, dtype=complex)
+    a, b = _grid(state_a), _grid(state_b)
     if a.shape != b.shape:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
-    shape = _grid_shape(a)
+    shape = a.shape
     pa = _sector_sums(shape, lambda rows: _abs2(a[rows]))
     pb = _sector_sums(shape, lambda rows: _abs2(b[rows]))
     cross = _sector_sums(shape, lambda rows: _conj_products(a[rows], b[rows]), complex)
@@ -301,8 +307,8 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     With x the grid entries of block N and w_k the WH amplitudes, the
     weighted term is |sum_k x_k^* w_k|^2 / W_N, W_N = sum_{k <= N} |w_k|^2.
     """
-    state = np.asarray(state, dtype=complex)
-    rows, cols = _grid_shape(state)
+    state = _grid(state)
+    rows, cols = state.shape
     wh, inv_norm = _wh_profile(z, 0, rows - 1, 0, rows + cols - 2)
     rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj(), complex)
     return _weighted_overlap(rel, inv_norm, float(np.sum(_abs2(state))))

@@ -176,11 +176,12 @@ class PairTwirl:
         """The same state over collective momentum p: D(X) multiplies the
         amplitude at p by e^{-i (2 pi k / d) p} with k = 2X mod d, so it is
         the phase twirl with labels p and weight P(k (d+1)/2 mod d) on the
-        angle 2 pi k / d."""
+        angle 2 pi k / d.  Its flat index is x_r * d + p, so its basis tag
+        is ``"lattice_momentum"``, not the pair twirl's."""
         d = self.amplitudes.shape[0]
         k = np.arange(d)
         prior = PriorGrid(TWO_PI * k / d, self.weights[k * ((d + 1) // 2) % d])
-        return _phase_twirl(_momentum(self.amplitudes), np.tile(k, d), prior, self.basis)
+        return _phase_twirl(_momentum(self.amplitudes), np.tile(k, d), prior, "lattice_momentum")
 
     def entries(self, rows, cols) -> np.ndarray:
         """rho[rows[i], cols[i]] = sum_X P(X) k_X[rows[i]] k_X[cols[i]]^*, with

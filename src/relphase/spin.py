@@ -38,17 +38,23 @@ class SpinParams:
     xi: complex
 
 
+def _check_modes(alpha: complex, beta: complex):
+    """Raise ValueError unless the mode amplitudes are finite and beta != 0,
+    so that their relative phase is defined."""
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError(f"mode amplitudes must be finite, got alpha={alpha}, beta={beta}")
+    if beta == 0:
+        raise ValueError("relative phase is undefined for beta = 0")
+
+
 def params_from_modes(alpha: complex, beta: complex) -> SpinParams:
     """Spin parameters of the difference register of |alpha> (x) |beta>.
 
     phi_r = arg(alpha) - arg(beta) and xi = alpha / beta, so that
     spin_coherent(N, xi) reproduces every block of the two-mode state up to
-    a global phase.  A non-finite amplitude raises ValueError.
+    a global phase.  A non-finite amplitude or beta = 0 raises ValueError.
     """
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise ValueError(f"mode amplitudes must be finite, got ({alpha}, {beta})")
-    if beta == 0:
-        raise ValueError("relative phase is undefined for beta = 0")
+    _check_modes(alpha, beta)
     phi_r = float(np.angle(alpha) - np.angle(beta))
     xi = complex(alpha / beta)
     theta = 2.0 * math.atan(abs(xi))
@@ -61,12 +67,14 @@ def spin_coherent(big_n: int, xi: complex) -> np.ndarray:
     amplitude(k) = sqrt(binom(N, k)) (1+|xi|^2)^{-N/2} xi^k,
 
     unit norm by the binomial theorem.  Computed in log space.  A
-    non-finite xi raises ValueError.
+    non-finite xi raises ValueError; N + 1 above MAX_ENTRIES raises
+    SizeLimitError.
     """
     if big_n < 0:
         raise ValueError(f"N must be >= 0, got {big_n}")
     if not np.isfinite(xi):
         raise ValueError(f"spin parameter xi must be finite, got {xi}")
+    check_entries(1, big_n + 1)
     if xi == 0 or big_n == 0:
         amps = np.zeros(big_n + 1, dtype=complex)
         amps[0] = 1.0
@@ -160,9 +168,11 @@ def embed_wh(z: complex, big_n: int) -> np.ndarray:
     Built from the rescaled log profile of _log_wh_window, so it stays finite
     and normalized when every raw amplitude up to N underflows (|z| above
     about 27).  For N past |z|^2 + 10|z| + 10 the renormalization factor is 1
-    to well under 1e-10 (Poisson tail).  A non-finite z raises ValueError.
+    to well under 1e-10 (Poisson tail).  A non-finite z raises ValueError;
+    N + 1 above MAX_ENTRIES raises SizeLimitError.
     """
     k, log_w = _log_wh_window(z, big_n)
+    check_entries(1, big_n + 1)
     amps = np.zeros(big_n + 1, dtype=complex)
     amps[k] = np.exp(log_w + 1j * np.angle(z) * k)
     return amps / np.linalg.norm(amps)

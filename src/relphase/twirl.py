@@ -74,14 +74,12 @@ class PriorGrid:
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "weights", weights)
-        if angles.ndim != 1 or angles.shape != weights.shape or angles.size == 0:
-            raise ValueError("prior needs matching nonempty angle and weight sequences")
-        if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(weights))):
-            raise ValueError("prior angles and weights must be finite")
-        _check_prior_weights(weights, "prior", angles.size)
+        if angles.ndim != 1 or angles.size == 0:
+            raise ValueError("prior needs a nonempty 1-D angle sequence")
+        object.__setattr__(self, "weights", _check_prior_weights(self.weights, "prior", angles.size))
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("prior angles must be finite")
         if angles[0] < 0 or angles[-1] >= TWO_PI:
             raise ValueError("prior angles must lie in [0, 2pi)")
         if angles.size > 1 and np.any(np.diff(angles) <= 0):
@@ -287,12 +285,26 @@ class Observable:
     """Hermitian operator on a ``dim``-dimensional space, stored by its
     nonzero entries: ``values[i]`` sits at row ``index[0][i]``, column
     ``index[1][i]`` (the ``(rows, cols)`` form of ``np.nonzero``), in the
-    index convention ``basis``."""
+    index convention ``basis``.  The indices must be two 1-D integer
+    sequences of the length of ``values``, in [0, dim), and the values
+    finite; anything else raises ValueError."""
 
     index: tuple
     values: np.ndarray
     dim: int
     basis: str
+
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        index = [np.asarray(part) for part in self.index]
+        if len(index) != 2 or values.ndim != 1 or any(
+            part.shape != values.shape or part.dtype.kind not in "iu" for part in index
+        ):
+            raise ValueError("observable needs two 1-D integer index sequences matching its values")
+        if values.size and not 0 <= min(map(np.min, index)) <= max(map(np.max, index)) < self.dim:
+            raise ValueError(f"observable indices must lie in [0, {self.dim})")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("observable values must be finite")
 
 
 class _Gaussians:
@@ -329,6 +341,7 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     draw = _Gaussians(seed)
     if basis == "fock":
+        check_entries(1, n_max + 1)
         diagonal = draw(n_max + 1).real
         return Observable(np.diag_indices(n_max + 1), diagonal, n_max + 1, basis)
     if basis == "block":

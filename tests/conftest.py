@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ def random_density_matrix(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = raw @ raw.conj().T
     return rho / np.trace(rho).real
+
+
+def assert_refused(call, error, match: str):
+    """call() raises ``error`` with a one-line message matching ``match``,
+    while tracemalloc sees less than 1 MiB allocated: the input is refused
+    before anything of its size is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match) as raised:
+            call()
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(raised.value)
 
 
 # the snippet that peak_mb runs for one CLI call with its arguments

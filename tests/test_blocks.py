@@ -20,7 +20,7 @@ from relphase import (
     two_mode_coherent,
 )
 
-from conftest import random_state_vector
+from conftest import assert_refused, random_state_vector
 
 
 def poisson_weight(mean, n):
@@ -192,6 +192,11 @@ class TestFromBlocks:
     def test_negative_target_rejected(self, target):
         with pytest.raises(ValueError, match="target cutoffs must be >= 0"):
             from_blocks(to_blocks(np.eye(3, dtype=complex)), *target)
+
+    def test_oversize_target_refused_before_allocation(self):
+        # a 1 x (2^23 + 1) target grid: a missing guard would allocate 134 MB
+        blocks = to_blocks(np.eye(3, dtype=complex))
+        assert_refused(lambda: from_blocks(blocks, 0, 2**23), SizeLimitError, "1 x 8388609 grid")
 
     def test_round_trip_corner_state(self):
         # single amplitude at the grid corner exercises the truncated-block

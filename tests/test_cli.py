@@ -426,6 +426,17 @@ class TestWayDemo:
         assert result.returncode == 2
         assert "odd" in result.stderr
 
+    def test_every_prior_is_checked(self, tmp_path):
+        # rho_rel is formed once per scenario, but each prior still goes
+        # through twirl_displacement, so a bad second prior is refused
+        path = tmp_path / "half.csv"
+        path.write_text("0,0.5\n")
+        priors = ("--prior", "uniform", "--prior", f"grid:{path}")
+        result = run_cli("way-demo", "--dim-list", "3", *priors)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("relphase: shift prior weights must sum to 1, got ")
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("dims", ["3,-1", "0", "5,1"])
     def test_bad_dimension_refused_before_any_row(self, dims):
         result = run_cli("way-demo", "--dim-list", dims)

@@ -34,7 +34,7 @@ from relphase.factorize import (
 )
 from relphase.fock import MAX_ENTRIES, _coherent_window
 
-from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, peak_mb
+from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, assert_refused, peak_mb
 
 
 def loop_product_grid(nhat, collective_phase, z, n1_max, n2_max):
@@ -531,6 +531,32 @@ class TestInputLimits:
     def test_non_finite_input_rejected(self, call):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: approx_product_balanced(math.inf, 0.0, n_max=3), ValueError, "finite"),
+            (lambda: approx_product_balanced(1.0, -math.inf, n_max=3), ValueError, "finite"),
+            # 2|alpha|^2 overflows a float
+            (lambda: approx_product_balanced(1e200, 0.0, n_max=3), SizeLimitError, "2\\^53"),
+            (lambda: approx_product_balanced(2.0**26, 0.0, n_max=3), SizeLimitError, "2\\^53"),
+            # the retained mass underflows to 0 and cannot be normalized
+            (
+                lambda: approx_product(30, 1, n1_max=3, n2_max=3),
+                InsufficientCutoffError,
+                "cutoffs \\(3, 3\\) retain only 0.0 of the product state",
+            ),
+            (
+                lambda: approx_product_balanced(30.0, 0.0, n_max=3),
+                InsufficientCutoffError,
+                "cutoffs \\(3, 3\\) retain only 0.0 of the product state",
+            ),
+        ],
+        ids=["balanced-alpha", "balanced-phase", "balanced-overflow", "balanced-2^53",
+             "empty-window", "balanced-empty-window"],
+    )
+    def test_product_preconditions_refused(self, call, error, message):
+        assert_refused(call, error, message)
 
     def test_nan_grid_overlap_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -32,7 +32,7 @@ from relphase import (
 from relphase.lattice import PairTwirl
 from relphase.twirl import PhaseTwirl
 
-from conftest import HAS_VMHWM, peak_mb, random_state_vector
+from conftest import HAS_VMHWM, assert_refused, peak_mb, random_state_vector
 
 
 def random_pair(rng, d, view="relative"):
@@ -316,6 +316,16 @@ class TestReducedRelative:
 
         with pytest.raises(ValueError, match="lattice_pair"):
             reduced_relative(DensityMatrix(np.eye(25, dtype=complex) / 25, basis="fock"))
+
+    def test_momentum_twirl_has_its_own_basis(self):
+        # its flat index is x_r * d + p, not x_r * d + x_a, so a pair-basis
+        # observable, which reads 2/3 from the pair twirl, must not read it
+        state = relative_pair(np.eye(3)[0], np.full(3, 3**-0.5))
+        rho = twirl_displacement(state, np.full(3, 1 / 3))
+        obs = Observable((np.array([0, 1]), np.array([1, 0])), np.ones(2), 9, "lattice_pair")
+        assert rho.momentum_twirl.basis == "lattice_momentum"
+        assert expectation(obs, rho) == pytest.approx(2 / 3, abs=1e-15)
+        assert_refused(lambda: expectation(obs, rho.momentum_twirl), ValueError, "basis mismatch")
 
 
 def einsum_reduced_relative(rho) -> np.ndarray:

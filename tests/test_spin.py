@@ -19,7 +19,7 @@ from relphase import (
 from relphase.fock import _log_poisson
 from relphase.spin import _log_spin_profile, _log_wh_window
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_refused
 
 STRESS_FIXTURES = json.loads((FIXTURES / "oracle_stress.json").read_text())
 STRESS = STRESS_FIXTURES["contraction_overlap_stress"]
@@ -299,3 +299,17 @@ def test_blocks_equal_spin_coherent_states():
         assert overlap >= 1.0 - 1e-10
         checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: embed_wh(1.0, 2**23),
+        lambda: spin_coherent(2**23, 0.5),
+        lambda: spin_coherent(2**23, 0.0),
+    ],
+    ids=["embed-wh", "spin-coherent", "spin-coherent-pole"],
+)
+def test_oversize_vector_refused_before_allocation(call):
+    # N + 1 = 2^23 + 1 entries, so a missing guard would allocate 134 MB
+    assert_refused(call, SizeLimitError, "1 x 8388609 grid")

@@ -31,7 +31,7 @@ from relphase import (
 from relphase.blocks import block_dim, block_offset
 from relphase.twirl import PhaseTwirl, _Gaussians, _phase_twirl
 
-from conftest import random_state_vector
+from conftest import assert_refused, random_state_vector
 
 
 def loop_twirl(psi, labels, prior):
@@ -375,6 +375,26 @@ class TestExpectation:
             expectation(coherence_witness(0, 1), rho)
 
 
+@pytest.mark.parametrize(
+    "index, values, message",
+    [
+        # numpy would wrap -1 to the last index, 8
+        (([-1], [-1]), [1.0], r"must lie in \[0, 9\)"),
+        (([0], [9]), [1.0], r"must lie in \[0, 9\)"),
+        (([0], [0]), [math.nan], "must be finite"),
+        (([0, 1], [1, 0]), [1.0, complex(math.inf, 0)], "must be finite"),
+        (([0, 1], [0]), [1.0, 1.0], "index sequences matching"),
+        (([0], [0]), [1.0, 1.0], "index sequences matching"),
+        (([0], [0], [0]), [1.0], "two 1-D integer"),
+        (([0.0], [0.0]), [1.0], "integer index"),
+        ((np.zeros((1, 1), int), np.zeros((1, 1), int)), np.ones((1, 1)), "1-D"),
+    ],
+    ids=["negative", "past-dim", "nan", "inf", "rows-cols", "values", "three", "float", "2-D"],
+)
+def test_observable_refuses_bad_entries(index, values, message):
+    assert_refused(lambda: Observable(index, values, 9, "lattice_pair"), ValueError, message)
+
+
 PRIORS = prior_family(np.random.default_rng(41))
 
 
@@ -691,12 +711,14 @@ def test_chi_half_table_matches_full_table(prior, span):
     [
         (lambda psi: twirl_single_mode(psi, von_mises_prior(4)), "a 32769 x 256 grid"),
         (lambda psi: random_commutant_observable(400, 0, "block"), "21574201 entries"),
+        (lambda psi: random_commutant_observable(2**23, 0), "8388609 entries"),
     ],
-    ids=["chi-table", "block-observable"],
+    ids=["chi-table", "block-observable", "fock-observable"],
 )
 def test_oversize_table_refused_before_allocation(call, message):
-    # the 256-point chi table of 32769 labels (134 MB) and the stored
-    # entries of 401 Hermitian blocks (345 MB) are above MAX_ENTRIES
+    # the 256-point chi table of 32769 labels (134 MB), the stored entries of
+    # 401 Hermitian blocks (345 MB) and a diagonal of 2^23 + 1 draws are
+    # above MAX_ENTRIES
     psi = np.zeros(32769, dtype=complex)
     psi[0] = 1.0
     tracemalloc.start()

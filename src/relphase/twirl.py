@@ -53,6 +53,12 @@ TWO_PI = 2.0 * np.pi
 # reported expectations by far less than 1e-9.
 GRID_RESOLUTION = 256
 
+# Entries of the chi table summed at a time, in whole rows of n_angles
+# entries (64 rows of the 256-point von Mises grid): each row is its own
+# sum, so the table has the same bits for any chunk, and the temporaries
+# of one chunk do not grow with max q.
+CHI_CHUNK = 2**14
+
 
 class UniformPrior:
     """Marker for the uniform prior: characteristic function delta(m)."""
@@ -97,7 +103,7 @@ def _check_prior_weights(weights, label: str, size: int) -> np.ndarray:
     if np.any(weights < 0):
         raise ValueError(f"{label} weights must be nonnegative")
     if not abs(weights.sum() - 1.0) <= 1e-12:
-        raise ValueError(f"{label} weights must sum to 1, got {weights.sum()!r}")
+        raise ValueError(f"{label} weights must sum to 1, got {float(weights.sum())}")
     return weights
 
 
@@ -233,15 +239,20 @@ class PhaseTwirl:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """One row band per run of equal charge q: psi_i psi^dag, then times
-        chi(q - q_j), so no full-size temporary is made."""
+        """One row band per run of consecutive rows with one charge q and
+        psi_i != 0: psi_i psi^dag, then times chi(q - q_j), so no full-size
+        temporary is made.  Rows where psi is 0 stay +0 from ``np.zeros``
+        and are never written."""
         psi, labels, span = self.psi, self.labels, self.chi.size // 2
         # 2-D operands, as np.outer has: numpy takes another path, which rounds
         # complex products differently, for a broadcast 1-element 1-D operand
         conj = psi.conj()[None, :]
-        out = np.empty(self.shape, dtype=complex)
-        edges = [0, *(np.flatnonzero(np.diff(labels)) + 1), psi.size]
+        out = np.zeros(self.shape, dtype=complex)
+        runs = np.where(psi != 0, labels, -1)  # -1 marks a zero row
+        edges = [0, *(np.flatnonzero(np.diff(runs)) + 1), psi.size]
         for lo, hi in zip(edges[:-1], edges[1:]):
+            if runs[lo] < 0:
+                continue
             band = out[lo:hi]
             np.multiply(psi[lo:hi, None], conj, out=band)
             band *= self.chi[labels[lo] - labels[None, :] + span]
@@ -250,16 +261,20 @@ class PhaseTwirl:
 
 def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwirl:
     """The twirl of psi over charge labels q, with chi(m) = sum_g w_g
-    e^{-i phi_g m} tabulated once for 0 <= m <= max q; chi(-m) is its
+    e^{-i phi_g m} tabulated once for 0 <= m <= max q, as an elementwise
+    sum over about ``CHI_CHUNK`` entries at a time; chi(-m) is its
     conjugate, the same bits as the sum for -m."""
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("input state must be normalized to 1e-10")
     span = labels.max()
-    if isinstance(prior, UniformPrior):
-        half = np.zeros(span + 1, dtype=complex)
-    else:
-        check_entries(span + 1, prior.angles.size)
-        half = np.exp(-1j * np.outer(np.arange(span + 1), prior.angles)) @ prior.weights
+    half = np.zeros(span + 1, dtype=complex)
+    if not isinstance(prior, UniformPrior):
+        check_entries(span + 1, prior.angles.size)  # bounds every chunk
+        rows = max(1, CHI_CHUNK // prior.angles.size)
+        for lo in range(0, span + 1, rows):
+            m = np.arange(lo, min(lo + rows, span + 1))
+            terms = np.exp(-1j * np.outer(m, prior.angles)) * prior.weights
+            half[lo : lo + rows] = terms.sum(axis=1)
     half[0] = 1.0  # the total weight, 1 to 1e-12 (_check_prior_weights)
     return PhaseTwirl(psi, labels, np.concatenate([half[:0:-1].conj(), half]), basis)
 

@@ -428,14 +428,18 @@ class TestWayDemo:
 
     def test_every_prior_is_checked(self, tmp_path):
         # rho_rel is formed once per scenario, but each prior still goes
-        # through twirl_displacement, so a bad second prior is refused
+        # through twirl_displacement, so a bad second prior is refused; a
+        # phase prior file is refused in the same words, the sum as a float
         path = tmp_path / "half.csv"
         path.write_text("0,0.5\n")
         priors = ("--prior", "uniform", "--prior", f"grid:{path}")
-        result = run_cli("way-demo", "--dim-list", "3", *priors)
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith("relphase: shift prior weights must sum to 1, got ")
-        assert result.stderr.count("\n") == 1
+        for argv, label in (
+            (("way-demo", "--dim-list", "3"), "shift prior"),
+            (("twirl-demo",), "prior"),
+        ):
+            result = run_cli(*argv, *priors)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == f"relphase: {label} weights must sum to 1, got 0.5\n"
 
     @pytest.mark.parametrize("dims", ["3,-1", "0", "5,1"])
     def test_bad_dimension_refused_before_any_row(self, dims):
@@ -692,7 +696,8 @@ class TestSeededContent:
                 "uniform,control,0.0",
                 "point:0.0,control,0.7357588823428847",
                 '"twopoint:0.0,3.141592653589793",control,0.0',
-                "vonmises:4.0,control,0.6353444311652331",
+                # 40-digit mpmath: 0.63534443116523283
+                "vonmises:4.0,control,0.6353444311652329",
             ],
         ),
         (

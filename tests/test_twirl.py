@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relphase import (
@@ -22,6 +24,7 @@ from relphase import (
     purity,
     random_commutant_observable,
     to_blocks,
+    twirl,
     twirl_single_mode,
     twirl_two_mode,
     two_mode_coherent,
@@ -52,16 +55,24 @@ def dense_twirl(psi, labels, prior):
     return _phase_twirl(psi, labels, prior, None).matrix
 
 
-def schur_twirl(psi, labels, prior):
-    """Reference: the one-line Schur product psi psi^dag * chi(q_i - q_j)
-    that the kernel was before it built the matrix one row band at a time."""
-    span = labels.max()
+def full_chi(span, prior):
+    """Reference: chi(m) for -span <= m <= span as one elementwise sum over
+    the whole table, with no chunks and without taking chi(-m) as the
+    conjugate of chi(m)."""
     m = np.arange(-span, span + 1)
     if isinstance(prior, UniformPrior):
         chi = (m == 0).astype(complex)
     else:
-        chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
+        chi = (np.exp(-1j * np.outer(m, prior.angles)) * prior.weights).sum(axis=1)
     chi[span] = 1.0
+    return chi
+
+
+def schur_twirl(psi, labels, prior):
+    """Reference: the one-line Schur product psi psi^dag * chi(q_i - q_j)
+    that the kernel was before it built the matrix one row band at a time."""
+    span = labels.max()
+    chi = full_chi(span, prior)
     return np.outer(psi, psi.conj()) * chi[labels[:, None] - labels[None, :] + span]
 
 
@@ -685,25 +696,121 @@ class TestFactoredTwirl:
         assert "matrix" not in vars(rho)
 
 
-def full_chi(span, prior):
-    """Reference: chi(m) for -span <= m <= span in one product over the
-    whole table, as the twirl tabulated it before it took chi(-m) as the
-    conjugate of chi(m)."""
-    m = np.arange(-span, span + 1)
-    if isinstance(prior, UniformPrior):
-        chi = (m == 0).astype(complex)
-    else:
-        chi = np.exp(-1j * np.outer(m, prior.angles)) @ prior.weights
-    chi[span] = 1.0
-    return chi
-
-
 @settings(max_examples=60, deadline=None)
 @given(prior=priors_st, span=st.one_of(st.integers(0, 64), st.integers(65, 2895)))
 def test_chi_half_table_matches_full_table(prior, span):
     psi = np.zeros(span + 1, dtype=complex)
     psi[0] = 1.0
-    assert np.array_equal(twirl_single_mode(psi, prior).chi, full_chi(span, prior))
+    chi = twirl_single_mode(psi, prior).chi
+    assert np.array_equal(chi, full_chi(span, prior))
+    # chi(-m) = chi(m)^* for m = 1..span, bit for bit; chi(0) is exactly 1
+    assert chi[:span][::-1].tobytes() == chi[span + 1 :].conj().tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(prior=priors_st, span=st.integers(0, 300), chunk=st.integers(1, 2**15))
+def test_chi_table_independent_of_chunk_size(prior, span, chunk):
+    psi = np.zeros(span + 1, dtype=complex)
+    psi[0] = 1.0
+    table = twirl_single_mode(psi, prior).chi
+    with mock.patch.object(twirl, "CHI_CHUNK", chunk):
+        assert twirl_single_mode(psi, prior).chi.tobytes() == table.tobytes()
+
+
+def mpmath_chi(m, prior):
+    """chi(m) summed in 40 digits over the prior's float angles and weights,
+    and sum_g w_g |fl(m phi_g) - m phi_g|, the most that rounding the
+    arguments m phi_g to floats, before any sum, can move chi(m)."""
+    with mp.workdps(40):
+        exact = rounding = mp.mpf(0)
+        for angle, weight in zip(prior.angles, prior.weights):
+            argument = m * mp.mpf(angle)
+            exact += weight * mp.expj(-argument)
+            rounding += weight * abs(mp.mpf(m * angle) - argument)
+        return complex(exact), float(rounding)
+
+
+@pytest.mark.parametrize(
+    "prior, flat",
+    # a flat 1e-13 holds for vonmises:4 (8.0e-14 at m = 2895), but not for
+    # every 32-point grid: rounding m phi_g alone reaches 1.3e-13 there
+    [(von_mises_prior(4.0), 1e-13), (random_grid_prior(np.random.default_rng(43)), math.inf)],
+    ids=["vonmises:4", "grid"],
+)
+def test_chi_table_matches_mpmath_sum(prior, flat):
+    psi = np.zeros(2896, dtype=complex)
+    psi[0] = 1.0
+    chi = twirl_single_mode(psi, prior).chi
+    for m in (1, 1447, 2895):
+        exact, rounding = mpmath_chi(m, prior)
+        error = abs(chi[2895 + m] - exact)
+        assert error <= min(flat, 1e-15 + rounding), m
+
+
+def test_chi_table_memory_does_not_grow_with_max_q():
+    # one 2896 x 256 table is 11.9 MB per complex temporary; a chunk of
+    # CHI_CHUNK entries is 0.26 MB
+    psi = np.full(2896, 1 / math.sqrt(2896), dtype=complex)
+    prior = von_mises_prior(4.0)
+    tracemalloc.start()
+    try:
+        twirl_single_mode(psi, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def with_zeros(vec, zero):
+    """vec with exact zeros where ``zero`` holds, renormalized; |0...0> in
+    vec's shape if nothing is left."""
+    vec = np.where(zero, 0.0, vec)
+    norm = np.linalg.norm(vec)
+    if norm < 1e-3:
+        vec = np.zeros_like(vec)
+        vec.flat[0] = norm = 1.0
+    return vec / norm
+
+
+def kets_with_zeros(shape):
+    size = math.prod(shape)
+    zero_masks = st.lists(st.booleans(), min_size=size, max_size=size).map(np.array)
+    return st.tuples(unit_vectors(size), zero_masks).map(
+        lambda pair: with_zeros(*pair).reshape(shape)
+    )
+
+
+# single-mode kets, where every charge is one entry, and two-mode grids,
+# whose block kets hold structural zeros (most of them for 1 x k and k x 1)
+states_with_zeros = st.one_of(
+    st.integers(1, 24).map(lambda n: (n,)),
+    st.integers(1, 12).map(lambda k: (1, k)),
+    st.integers(1, 12).map(lambda k: (k, 1)),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+).flatmap(kets_with_zeros)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=states_with_zeros, prior_index=st.integers(0, 4), seed=st.integers(0, 2**16))
+# zero first and last entries, and whole zero charges
+@example(state=np.array([0.0, 0.6, 0.8, 0.0], dtype=complex), prior_index=3, seed=0)
+# block N = 2 is 0.8, 0, 0.6: a zero inside one charge's run; N = 0, 1, 3, 4 are zero
+@example(state=np.fliplr(np.diag([0.8, 0.0, 0.6])).astype(complex), prior_index=4, seed=1)
+@example(state=np.full((1, 4), 0.5, dtype=complex), prior_index=2, seed=0)
+@example(state=np.full((4, 1), 0.5, dtype=complex), prior_index=0, seed=0)
+def test_dense_build_leaves_zero_rows_untouched(state, prior_index, seed):
+    prior = prior_family(np.random.default_rng(seed))[prior_index]
+    if state.ndim == 1:
+        rho = twirl_single_mode(state, prior)
+        reference = schur_twirl(state, np.arange(state.size), prior)
+    else:
+        rho = twirl_two_mode(state, prior)
+        n_top = sum(state.shape) - 2
+        reference = schur_twirl(block_ket(state), total_number_labels(n_top), prior)
+    assert np.array_equal(rho.matrix, reference)
+    # the reference may hold -0.0 in a zero row; the build leaves +0.0
+    dead = rho.matrix[rho.psi == 0].view(float)
+    assert np.all(dead == 0.0) and not np.any(np.signbit(dead))
 
 
 @pytest.mark.parametrize(

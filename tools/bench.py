@@ -65,6 +65,15 @@ state = two_mode_coherent({alpha}, {alpha}, n_max, n_max)
 state = state / np.linalg.norm(state)
 """ + VON_MISES
 
+# 600 of the 2415 block-ket entries are nonzero: the rest are the
+# structural zeros of a rectangular grid
+RECTANGLE = """\
+import numpy as np
+from relphase import twirl_two_mode, two_mode_coherent
+state = two_mode_coherent(1, 4, 9, 59)
+state = state / np.linalg.norm(state)
+""" + VON_MISES
+
 SCORE = TWO_MODE + """
 from relphase import expectation, random_commutant_observable
 rho = twirl_two_mode(state, prior)"""
@@ -128,6 +137,12 @@ CASES = [
             "twirl_two_mode(state, prior).matrix",
         )
         for alpha in (1, 2, 3)
+    ),
+    call(
+        "twirl_two_mode(...).matrix, vonmises:4",
+        "10 x 60 grid",
+        RECTANGLE,
+        "twirl_two_mode(state, prior).matrix",
     ),
     call(
         "purity(twirl_two_mode(...)), vonmises:4",

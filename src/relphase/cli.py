@@ -176,14 +176,14 @@ def _random_units(draw, d: int, count: int) -> np.ndarray:
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def _way_scenarios(d: int, draw) -> dict:
-    """The way-demo input states by scenario name, drawn in table order."""
+def _way_scenarios(d: int, draw):
+    """The way-demo input states as (scenario, state) pairs, drawn in table
+    order one at a time, so that a d x d grid is built only after the one
+    before it has been scored and let go."""
+    yield "separable", relative_pair(*_random_units(draw, d, 2))
     ket0 = np.eye(d, dtype=complex)[0]
-    return {
-        "separable": relative_pair(*_random_units(draw, d, 2)),
-        "sum-entangled": sum_gate(relative_pair(*_random_units(draw, d, 1), ket0)),
-        "max-entangled": QuditPairState(np.eye(d, dtype=complex) / np.sqrt(d), view="relative"),
-    }
+    yield "sum-entangled", sum_gate(relative_pair(*_random_units(draw, d, 1), ket0))
+    yield "max-entangled", QuditPairState(np.eye(d, dtype=complex) / np.sqrt(d), view="relative")
 
 
 def cmd_way_demo(args) -> None:
@@ -192,12 +192,13 @@ def cmd_way_demo(args) -> None:
     draw = _Gaussians(args.seed)
     for d in dims:
         priors = [(spec, shift_prior(spec, d)) for spec in args.priors]
-        for scenario, state in _way_scenarios(d, draw).items():
+        for scenario, state in _way_scenarios(d, draw):
             # every prior is checked, in order, but rho_rel = A A^dag is the
             # same under every prior, the point prior at X = 0 included, so it
             # is formed once, and its overlap with the input's is its purity
             twirls = [twirl_displacement(state, prior) for _, prior in priors]
             value = float(purity(reduced_relative(twirls[0])))
+            del state, twirls  # no grid is held while the next one is built
             for spec, _ in priors:
                 row = {"d": int(d), "scenario": scenario, "prior": spec, "relative_purity": value}
                 rows.append({**row, "relative_fidelity_to_input": value})

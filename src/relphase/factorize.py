@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _grid, default_cutoff, mean_photon_number
-from .fock import _clamp_unit, _coherent_window, check_entries, check_exact
+from .fock import CHUNK_ENTRIES, _charge_sums, _clamp_unit, _coherent_window, check_entries, check_exact
 from .spin import _check_modes, _poisson_window, _wh_window
 
 __all__ = [
@@ -32,16 +32,6 @@ __all__ = [
 # Minimum squared norm the truncation must retain before any comparison is
 # trusted.
 MIN_RETAINED_MASS = 1.0 - 1e-8
-
-# Largest row block, in window entries, that a walk over a grid takes at
-# once: the public grid kernels and the HS residual of factorization_fidelity
-# reduce a larger window block by block, with temporaries of a few blocks,
-# not of the whole window.  A block of complex entries is then 64 kB, small
-# enough that the allocator reuses freed memory for the next block's
-# temporaries instead of mapping fresh pages: at 2**16 entries the residual
-# walk of a report in a new interpreter took up to twice as long.
-CHUNK_ENTRIES = 2**12
-
 
 class InsufficientCutoffError(ValueError):
     """Raised when the requested truncation loses too much state mass."""
@@ -105,31 +95,27 @@ def _by_sector(values: np.ndarray, rows: slice, cols: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(values[rows.start : rows.stop + cols - 1], cols)
 
 
-def _sector_sums(shape, block_values, dtype=float) -> np.ndarray:
+def _sector_sums(shape, block_values) -> np.ndarray:
     """Sum over the entries of each sector of the values that
     ``block_values(rows)`` gives for the rows of the slice ``rows``; entry
     (i, j) lies in sector i + j, the total photon number less lo1 + lo2 on
     the window from (lo1, lo2).  The rows are taken in blocks of
-    CHUNK_ENTRIES entries at most, or one row if a row is longer.
-
-    Each block is laid into a buffer skewed by one column per line of its
-    shorter axis, whose column sums are its sector sums (the label i + j is
-    symmetric, so a block taller than wide is skewed by columns).  A block
-    no taller than wide adds the entries of every sector in row order, as a
-    bincount over the row-major labels would.
-    """
+    CHUNK_ENTRIES entries at most, or one row if a row is longer, and summed
+    in pieces of at most CHUNK_ENTRIES entries: a whole block, or a run of
+    one longer row.  Each piece is one bincount over its sector labels in
+    row-major order, added to the sums of the pieces before it."""
     rows, cols = shape
     step = max(1, CHUNK_ENTRIES // max(cols, 1))
-    sums = np.zeros(rows + cols - 1, dtype)
+    # the labels of a full block; their prefix labels a shorter last block
+    # and each piece of a longer row, from the piece's first column
+    labels = _by_sector(np.arange(step + cols - 1), slice(0, step), cols).ravel()
     for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        values = block_values(slice(start, stop))
-        if values.shape[0] > values.shape[1]:
-            values = values.T
-        skewed = np.zeros((values.shape[0], sum(values.shape) - 1), dtype)
-        strides = (skewed.strides[0] + skewed.strides[1], skewed.strides[1])
-        np.lib.stride_tricks.as_strided(skewed, values.shape, strides)[...] = values
-        sums[start : stop + cols - 1] += skewed.sum(axis=0)
+        values = block_values(slice(start, min(start + step, rows))).ravel()
+        sums = np.zeros(rows + cols - 1, values.dtype) if start == 0 else sums
+        for lo in range(0, values.size, CHUNK_ENTRIES):
+            piece = values[lo : lo + CHUNK_ENTRIES]
+            size = labels[piece.size - 1] + 1  # the piece's largest label, plus one
+            sums[start + lo : start + lo + size] += _charge_sums(labels[: piece.size], piece, size)
     return sums
 
 
@@ -286,7 +272,7 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     shape = a.shape
     pa = _sector_sums(shape, lambda rows: _abs2(a[rows]))
     pb = _sector_sums(shape, lambda rows: _abs2(b[rows]))
-    cross = _sector_sums(shape, lambda rows: _conj_products(a[rows], b[rows]), complex)
+    cross = _sector_sums(shape, lambda rows: _conj_products(a[rows], b[rows]))
     return _twirled_hs(shape, pa, pb, cross, lambda rows: (a[rows], b[rows]))
 
 
@@ -310,7 +296,7 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     state = _grid(state)
     rows, cols = state.shape
     wh, inv_norm = _wh_profile(z, 0, rows - 1, 0, rows + cols - 2)
-    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj(), complex)
+    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj())
     return _weighted_overlap(rel, inv_norm, float(np.sum(_abs2(state))))
 
 

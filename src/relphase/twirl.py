@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
-from .fock import check_entries
+from .fock import CHUNK_ENTRIES, _charge_sums, check_entries
 
 __all__ = [
     "Observable",
@@ -52,13 +52,6 @@ TWO_PI = 2.0 * np.pi
 # Default resolution for named continuous prior families; doubling it moves
 # reported expectations by far less than 1e-9.
 GRID_RESOLUTION = 256
-
-# Entries of the chi table summed at a time, in whole rows of n_angles
-# entries (64 rows of the 256-point von Mises grid): each row is its own
-# sum, so the table has the same bits for any chunk, and the temporaries
-# of one chunk do not grow with max q.
-CHI_CHUNK = 2**14
-
 
 class UniformPrior:
     """Marker for the uniform prior: characteristic function delta(m)."""
@@ -227,14 +220,13 @@ class PhaseTwirl:
     def trace_square(self) -> float:
         """Tr(rho^2) = sum_m |chi(m)|^2 sum_q p_q p_{q+m}, with p_q the mass
         of psi at charge q."""
-        mass = np.bincount(self.labels, weights=np.abs(self.psi) ** 2)
+        mass = _charge_sums(self.labels, np.abs(self.psi) ** 2, self.chi.size // 2 + 1)
         return float(np.dot(np.abs(self.chi) ** 2, np.correlate(mass, mass, "full")))
 
     def overlap(self, phi: np.ndarray) -> complex:
         """<phi|rho|phi> = sum_m chi(m) sum_q c_q c_{q-m}^*, with c_q the
         overlap of phi with psi at charge q, sum_{q_i = q} phi_i^* psi_i."""
-        product = phi.conj() * self.psi
-        c = np.bincount(self.labels, product.real) + 1j * np.bincount(self.labels, product.imag)
+        c = _charge_sums(self.labels, phi.conj() * self.psi, self.chi.size // 2 + 1)
         return complex(np.dot(self.chi, np.correlate(c, c, "full")))
 
     @cached_property
@@ -262,15 +254,17 @@ class PhaseTwirl:
 def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwirl:
     """The twirl of psi over charge labels q, with chi(m) = sum_g w_g
     e^{-i phi_g m} tabulated once for 0 <= m <= max q, as an elementwise
-    sum over about ``CHI_CHUNK`` entries at a time; chi(-m) is its
-    conjugate, the same bits as the sum for -m."""
+    sum over whole rows of the prior's angles, about ``CHUNK_ENTRIES``
+    entries at a time: each row is its own sum, so the table has the same
+    bits for any chunk, and the temporaries of one chunk do not grow with
+    max q.  chi(-m) is its conjugate, the same bits as the sum for -m."""
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("input state must be normalized to 1e-10")
     span = labels.max()
     half = np.zeros(span + 1, dtype=complex)
     if not isinstance(prior, UniformPrior):
         check_entries(span + 1, prior.angles.size)  # bounds every chunk
-        rows = max(1, CHI_CHUNK // prior.angles.size)
+        rows = max(1, CHUNK_ENTRIES // prior.angles.size)
         for lo in range(0, span + 1, rows):
             m = np.arange(lo, min(lo + rows, span + 1))
             terms = np.exp(-1j * np.outer(m, prior.angles)) * prior.weights

@@ -32,7 +32,7 @@ from relphase.factorize import (
     _weighted_overlap,
     _wh_profile,
 )
-from relphase.fock import MAX_ENTRIES, _coherent_window
+from relphase.fock import CHUNK_ENTRIES, MAX_ENTRIES, _coherent_window
 
 from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, assert_refused, peak_mb
 
@@ -252,6 +252,38 @@ def overlap_inputs(draw):
 @given(case=overlap_inputs())
 def test_relative_state_overlap_in_unit_interval(case):
     assert 0.0 <= relative_state_overlap(*case) <= 1.0
+
+
+# window shapes for the sector sums: one block or several, blocks taller
+# than wide, 1 x n and n x 1, and rows longer than a chunk
+sector_shapes = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    st.tuples(st.integers(65, 300), st.integers(2, 20)),
+    st.tuples(st.just(1), st.integers(1, 2 * CHUNK_ENTRIES)),
+    st.tuples(st.integers(1, 2 * CHUNK_ENTRIES), st.just(1)),
+    st.tuples(st.integers(2, 4), st.integers(CHUNK_ENTRIES + 1, CHUNK_ENTRIES + 64)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=sector_shapes, complex_values=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, CHUNK_ENTRIES + 1), complex_values=False, seed=0)
+@example(shape=(CHUNK_ENTRIES + 1, 1), complex_values=True, seed=0)
+@example(shape=(300, 20), complex_values=True, seed=0)
+def test_sector_sums_match_bincount_over_full_label_grid(shape, complex_values, seed):
+    # integer values keep every partial sum exact, so a wrong label shows
+    # whatever order the blocks are added in
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-(2**20), 2**20, shape).astype(float)
+    if complex_values:
+        values = values + 1j * rng.integers(-(2**20), 2**20, shape)
+    labels = np.add.outer(np.arange(shape[0]), np.arange(shape[1])).ravel()
+    want = np.bincount(labels, values.real.ravel())
+    if complex_values:
+        want = want + 1j * np.bincount(labels, values.imag.ravel())
+    got = _sector_sums(shape, lambda rows: values[rows])
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -615,7 +647,7 @@ def window_overlap(state, z, lo1, lo2):
     rows, cols = state.shape
     n_lo = lo1 + lo2
     wh, inv_norm = _wh_profile(z, lo1, lo1 + rows - 1, n_lo, n_lo + rows + cols - 2)
-    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj(), complex)
+    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj())
     return _weighted_overlap(rel, inv_norm, float(np.sum(np.abs(state) ** 2)))
 
 

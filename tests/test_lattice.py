@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relphase import (
@@ -50,6 +50,29 @@ def shift_prior_family(rng, d):
     concentrated /= concentrated.sum()
     raw = rng.uniform(0.1, 1.0, d)
     return [np.full(d, 1.0 / d), point, two, concentrated, raw / raw.sum()]
+
+
+@st.composite
+def pairs_and_shift_weights(draw):
+    """A random pair state with d <= 9 in either view and random shift
+    weights, exact zeros included, not yet normalized: every weight vector
+    up to scale, as the largest weight is 1."""
+    d = draw(st.sampled_from([3, 5, 7, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_pair(rng, d, view=draw(st.sampled_from(["product", "relative"])))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    weights[draw(st.integers(0, d - 1))] = 1.0
+    return state, weights
+
+
+def seeded_psd_examples(test):
+    """A d = 3 and then a d = 7 state and shift weights from one seeded
+    stream, as explicit examples of the positivity property."""
+    rng = np.random.default_rng(25)
+    for d in (3, 7):
+        state = random_pair(rng, d)
+        test = example(case=(state, rng.uniform(0.1, 1.0, d)))(test)
+    return test
 
 
 class TestStateConstruction:
@@ -276,15 +299,15 @@ class TestTwirlDisplacement:
                         direct[x_r * d + x_a, x_rp * d + x_ap] = value
         assert np.max(np.abs(rho - direct)) < 1e-12
 
-    def test_output_is_hermitian_trace_one_psd(self):
-        rng = np.random.default_rng(25)
-        for d in (3, 7):
-            state = random_pair(rng, d)
-            prior = rng.uniform(0.1, 1.0, d)
-            rho = twirl_displacement(state, prior / prior.sum())
-            assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(case=pairs_and_shift_weights())
+    @seeded_psd_examples
+    def test_output_is_hermitian_trace_one_psd(self, case):
+        state, weights = case
+        rho = twirl_displacement(state, weights / weights.sum()).matrix
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
     def test_unnormalized_prior_rejected(self):
         rng = np.random.default_rng(26)

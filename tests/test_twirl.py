@@ -457,41 +457,7 @@ class TestPriorIndependence:
         assert spread == pytest.approx(oracle["witness_spread_alpha1"], abs=1e-9)
 
 
-class TestChannelProperties:
-    def test_trace_preserving_and_positive(self):
-        rng = np.random.default_rng(23)
-        priors = prior_family(rng)
-        for _ in range(5):
-            psi = random_state_vector(rng, 12)
-            for prior in priors:
-                rho = twirl_single_mode(psi, prior)
-                assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-                assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-                assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
-
-    def test_uniform_twirl_idempotent(self):
-        rng = np.random.default_rng(29)
-        psi = random_state_vector(rng, 10)
-        rho = twirl_single_mode(psi, UNIFORM)
-        # dephasing an already-dephased state: re-twirl each eigenvector
-        # weighted by its population and compare
-        again = np.zeros_like(rho.matrix)
-        for n in range(10):
-            basis_vec = np.zeros(10, dtype=complex)
-            basis_vec[n] = 1.0
-            again += rho.matrix[n, n] * twirl_single_mode(basis_vec, UNIFORM).matrix
-        assert np.max(np.abs(again - rho.matrix)) < 1e-12
-
-    def test_grid_refinement_converged(self):
-        psi = coherent_vector(1.0, 21)
-        psi /= np.linalg.norm(psi)
-        witness = coherence_witness(0, 21)
-        coarse = expectation(witness, twirl_single_mode(psi, von_mises_prior(4.0, 256)))
-        fine = expectation(witness, twirl_single_mode(psi, von_mises_prior(4.0, 512)))
-        assert abs(coarse - fine) < 1e-9
-
-
-# Random states and priors for the kernel-vs-loop properties.
+# Random states and priors for the channel and kernel-vs-loop properties.
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 angles_st = st.floats(0.0, 2 * np.pi, allow_nan=False, exclude_max=True)
 
@@ -534,6 +500,57 @@ priors_st = st.one_of(
     st.floats(0.0, 50.0).map(von_mises_prior),
     grid_priors(),
 )
+
+
+def seeded_channel_examples(test):
+    """Five seeded 12-entry kets under the seeded prior family, as explicit
+    examples of the channel property."""
+    rng = np.random.default_rng(23)
+    priors = prior_family(rng)
+    for _ in range(5):
+        psi = random_state_vector(rng, 12)
+        for prior in priors:
+            test = example(case=(twirl_single_mode, psi), prior=prior)(test)
+    return test
+
+
+class TestChannelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.one_of(
+            single_mode_states.map(lambda psi: (twirl_single_mode, psi)),
+            two_mode_states.map(lambda state: (twirl_two_mode, state)),
+        ),
+        prior=priors_st,
+    )
+    @seeded_channel_examples
+    def test_trace_preserving_and_positive(self, case, prior):
+        kernel, state = case
+        rho = kernel(state, prior).matrix
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+    def test_uniform_twirl_idempotent(self):
+        rng = np.random.default_rng(29)
+        psi = random_state_vector(rng, 10)
+        rho = twirl_single_mode(psi, UNIFORM)
+        # dephasing an already-dephased state: re-twirl each eigenvector
+        # weighted by its population and compare
+        again = np.zeros_like(rho.matrix)
+        for n in range(10):
+            basis_vec = np.zeros(10, dtype=complex)
+            basis_vec[n] = 1.0
+            again += rho.matrix[n, n] * twirl_single_mode(basis_vec, UNIFORM).matrix
+        assert np.max(np.abs(again - rho.matrix)) < 1e-12
+
+    def test_grid_refinement_converged(self):
+        psi = coherent_vector(1.0, 21)
+        psi /= np.linalg.norm(psi)
+        witness = coherence_witness(0, 21)
+        coarse = expectation(witness, twirl_single_mode(psi, von_mises_prior(4.0, 256)))
+        fine = expectation(witness, twirl_single_mode(psi, von_mises_prior(4.0, 512)))
+        assert abs(coarse - fine) < 1e-9
 
 
 def assert_channel_properties(rho, reference, observable, pure):
@@ -713,7 +730,7 @@ def test_chi_table_independent_of_chunk_size(prior, span, chunk):
     psi = np.zeros(span + 1, dtype=complex)
     psi[0] = 1.0
     table = twirl_single_mode(psi, prior).chi
-    with mock.patch.object(twirl, "CHI_CHUNK", chunk):
+    with mock.patch.object(twirl, "CHUNK_ENTRIES", chunk):
         assert twirl_single_mode(psi, prior).chi.tobytes() == table.tobytes()
 
 
@@ -749,7 +766,7 @@ def test_chi_table_matches_mpmath_sum(prior, flat):
 
 def test_chi_table_memory_does_not_grow_with_max_q():
     # one 2896 x 256 table is 11.9 MB per complex temporary; a chunk of
-    # CHI_CHUNK entries is 0.26 MB
+    # CHUNK_ENTRIES entries is 0.07 MB
     psi = np.full(2896, 1 / math.sqrt(2896), dtype=complex)
     prior = von_mises_prior(4.0)
     tracemalloc.start()

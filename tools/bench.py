@@ -78,12 +78,39 @@ SCORE = TWO_MODE + """
 from relphase import expectation, random_commutant_observable
 rho = twirl_two_mode(state, prior)"""
 
+# a seeded ket nonzero at every n up to the cutoff: the dense build skips
+# the rows where psi is 0, and the tail of coherent_vector(1.0, 2000)
+# underflows to 0 from n = 313 on
 SINGLE_MODE = """\
 import numpy as np
-from relphase import coherent_vector, twirl_single_mode
-psi = coherent_vector(1.0, {n})
+from relphase import twirl_single_mode
+rng = np.random.default_rng(0)
+psi = rng.standard_normal({n} + 1) + 1j * rng.standard_normal({n} + 1)
 psi = psi / np.linalg.norm(psi)
 """ + VON_MISES
+
+# the balanced |alpha| = 4 grid of the benchmark's balanced case (67 x 67)
+BALANCED = """\
+import numpy as np
+from relphase import approx_product_balanced, relative_state_overlap, twirled_hs_distance
+from relphase import two_mode_coherent
+approx = approx_product_balanced(4.0, 0.0)
+exact = two_mode_coherent(4.0, 4.0, approx.shape[0] - 1, approx.shape[1] - 1)
+exact = exact / np.linalg.norm(exact)
+z = np.sqrt(2) * 4.0
+"""
+
+# a 22 x 2001 grid, rows of about half a chunk: the window shape of a
+# factorize sweep at |alpha| = 1 and |beta| = 40
+TALL_THIN = """\
+import numpy as np
+from relphase import approx_product, relative_state_overlap, relative_target
+from relphase import twirled_hs_distance, two_mode_coherent
+exact = two_mode_coherent(1, 40, 21, 2000)
+exact = exact / np.linalg.norm(exact)
+approx = approx_product(1, 40, 21, 2000)
+z = relative_target(1, 40)
+"""
 
 SUITE = """\
 import pytest
@@ -165,9 +192,20 @@ CASES = [
     ),
     call(
         "twirl_single_mode(...).matrix, vonmises:4",
-        "n = 2000",
+        "n = 2000, seeded ket",
         SINGLE_MODE.format(n=2000),
         "twirl_single_mode(psi, prior).matrix",
+    ),
+    *(
+        call(kernel, size, setup, timed)
+        for size, setup in (
+            ("67 x 67 grid", BALANCED),
+            ("two_mode_coherent(1, 40, 21, 2000)", TALL_THIN),
+        )
+        for kernel, timed in (
+            ("twirled_hs_distance", "twirled_hs_distance(exact, approx)"),
+            ("relative_state_overlap", "relative_state_overlap(exact, z)"),
+        )
     ),
     *(
         call(

@@ -83,8 +83,11 @@ def relative_pair(psi_r: np.ndarray, psi_a: np.ndarray) -> QuditPairState:
 def _pair_labels(d: int) -> tuple:
     """(x1 - x2, x1 + x2) mod d at every point (x1, x2) of the d x d grid:
     the relative coordinates (x_r, x_a) of a product-view point."""
-    x1, x2 = np.indices((d, d))
-    return (x1 - x2) % d, (x1 + x2) % d
+    x1, x2 = np.arange(d)[:, None], np.arange(d)
+    x_r, x_a = x1 - x2, x1 + x2
+    x_r %= d
+    x_a %= d
+    return x_r, x_a
 
 
 def to_relative_basis(state: QuditPairState) -> QuditPairState:
@@ -186,11 +189,17 @@ class PairTwirl:
     def entries(self, rows, cols) -> np.ndarray:
         """rho[rows[i], cols[i]] = sum_X P(X) k_X[rows[i]] k_X[cols[i]]^*, with
         k_X = D(X)|psi> over the flat relative index, so
-        k_X[r * d + a] = A[r, a - 2X]; one roll of A per support point."""
+        k_X[r * d + a] = A[r, (a - 2X) mod d]: each shifted entry is read
+        from A by index arithmetic, so no copy of A is made and the work
+        per support point follows the number of entries read."""
+        d, flat = self.amplitudes.shape[0], self.amplitudes.ravel()
+        (row_r, row_a), (col_r, col_a) = np.divmod(rows, d), np.divmod(cols, d)
+        row_r, col_r = row_r * d, col_r * d
         out = np.zeros(np.shape(rows), dtype=complex)
         for shift in np.flatnonzero(self.weights):
-            ket = np.roll(self.amplitudes, 2 * shift, axis=1).ravel()
-            out += self.weights[shift] * (ket[rows] * ket[cols].conj())
+            ket_rows = flat[row_r + (row_a - 2 * shift) % d]
+            ket_cols = flat[col_r + (col_a - 2 * shift) % d]
+            out += self.weights[shift] * (ket_rows * ket_cols.conj())
         return out
 
     def trace_square(self) -> float:
@@ -237,8 +246,11 @@ def sum_gate(state: QuditPairState) -> QuditPairState:
     with every displacement."""
     if state.view != RELATIVE:
         raise ValueError(f"expected a relative-view state, got {state.view!r}")
+    x_r = np.arange(state.d)[:, None]
+    target = x_r + np.arange(state.d)  # the one d x d label grid, x_a + x_r mod d
+    target %= state.d
     out = np.empty_like(state.amplitudes)
-    out[np.arange(state.d)[:, None], _pair_labels(state.d)[1]] = state.amplitudes
+    out[x_r, target] = state.amplitudes
     return QuditPairState(out, view=RELATIVE)
 
 

@@ -296,7 +296,8 @@ class Observable:
     ``index[1][i]`` (the ``(rows, cols)`` form of ``np.nonzero``), in the
     index convention ``basis``.  The indices must be two 1-D integer
     sequences of the length of ``values``, in [0, dim), and the values
-    finite; anything else raises ValueError."""
+    finite; anything else raises ValueError.  Both are stored as the
+    arrays that were checked, ``index`` as a tuple of two."""
 
     index: tuple
     values: np.ndarray
@@ -305,11 +306,13 @@ class Observable:
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        index = [np.asarray(part) for part in self.index]
+        index = tuple(np.asarray(part) for part in self.index)
         if len(index) != 2 or values.ndim != 1 or any(
             part.shape != values.shape or part.dtype.kind not in "iu" for part in index
         ):
             raise ValueError("observable needs two 1-D integer index sequences matching its values")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "values", values)
         if values.size and not 0 <= min(map(np.min, index)) <= max(map(np.max, index)) < self.dim:
             raise ValueError(f"observable indices must lie in [0, {self.dim})")
         if not np.all(np.isfinite(values)):
@@ -387,13 +390,23 @@ def coherence_witness(n: int, n_max: int) -> Observable:
 
 def expectation(obs: Observable, rho) -> float:
     """Tr(O rho) = sum_ij O_ij rho_ji over the stored entries of O, checked
-    real to 1e-10.  ``rho`` is a ``DensityMatrix`` or a ``PhaseTwirl``."""
+    real to 1e-10.  ``rho`` is a ``DensityMatrix``, a ``PhaseTwirl`` or a
+    ``PairTwirl``.  The products O_ij rho_ji are read ``CHUNK_ENTRIES``
+    entries at a time into one buffer of the whole product's dtype and
+    summed once, so the value has the bits of the one-line sum while the
+    state's entries are gathered a chunk at a time."""
     if obs.basis != rho.basis:
         raise ValueError(f"basis mismatch: observable {obs.basis!r} vs state {rho.basis!r}")
     if (obs.dim, obs.dim) != rho.shape:
         raise ValueError(f"dimension mismatch: {(obs.dim, obs.dim)} vs {rho.shape}")
-    rows, cols = obs.index
-    value = complex(np.sum(obs.values * rho.entries(cols, rows)))
+    (rows, cols), values = obs.index, obs.values
+    # real times real stays real: np.sum rounds a float array differently
+    # from the same values cast to complex
+    products = np.empty(values.size, (values[:0] * rho.entries(cols[:0], rows[:0])).dtype)
+    for lo in range(0, values.size, CHUNK_ENTRIES):
+        piece = slice(lo, lo + CHUNK_ENTRIES)
+        np.multiply(values[piece], rho.entries(cols[piece], rows[piece]), out=products[piece])
+    value = complex(np.sum(products))
     if not abs(value.imag) <= 1e-10:  # NaN fails too
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)

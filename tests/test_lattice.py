@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from relphase import (
     twirled_relative,
     von_mises_prior,
 )
-from relphase.lattice import PairTwirl
+from relphase.lattice import PairTwirl, _pair_labels
 from relphase.twirl import PhaseTwirl
 
 from conftest import HAS_VMHWM, assert_refused, peak_mb, random_state_vector
@@ -63,6 +64,17 @@ def pairs_and_shift_weights(draw):
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
     weights[draw(st.integers(0, d - 1))] = 1.0
     return state, weights
+
+
+def roll_pair_entries(rho, rows, cols):
+    """Reference: PairTwirl.entries as it was before it read the shifted
+    amplitudes by index arithmetic, one np.roll of the whole grid per
+    support point."""
+    out = np.zeros(np.shape(rows), dtype=complex)
+    for shift in np.flatnonzero(rho.weights):
+        ket = np.roll(rho.amplitudes, 2 * shift, axis=1).ravel()
+        out += rho.weights[shift] * (ket[rows] * ket[cols].conj())
+    return out
 
 
 def seeded_psd_examples(test):
@@ -214,6 +226,22 @@ class TestTwirlDisplacement:
         for ket, fidelity in zip(kets, fidelities):
             assert abs(fidelity - np.vdot(ket, m @ ket).real) <= 1e-15
         assert np.max(np.abs(entries - m[rows, cols])) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([3, 5, 7, 31]),
+        prior_index=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_match_roll_reference(self, d, prior_index, seed):
+        # every entry of the matrix for d <= 7, 2000 random ones at d = 31
+        rng = np.random.default_rng(seed)
+        rho = twirl_displacement(random_pair(rng, d), shift_prior_family(rng, d)[prior_index])
+        if d <= 7:
+            rows, cols = np.indices((d * d, d * d)).reshape(2, -1)
+        else:
+            rows, cols = rng.integers(0, d * d, (2, 2000))
+        assert np.array_equal(rho.entries(rows, cols), roll_pair_entries(rho, rows, cols))
 
     def test_reads_build_no_matrix(self, monkeypatch):
         def refuse(rho):
@@ -463,6 +491,13 @@ def test_phase_and_shift_priors_share_one_grammar(spec):
     assert str(shift.value) == str(phase.value).replace("angles", "shifts")
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 31, 101])
+def test_pair_labels_match_index_grid_form(d):
+    x1, x2 = np.indices((d, d))
+    for got, want in zip(_pair_labels(d), ((x1 - x2) % d, (x1 + x2) % d)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestSumGate:
     def test_zero_control_slice_fixed(self):
         rng = np.random.default_rng(30)
@@ -508,6 +543,21 @@ class TestSumGate:
         gate[perm, np.arange(d * d)] = 1.0
         gate_then_twirl = gate @ twirl_displacement(state, uniform).matrix @ gate.T
         assert np.max(np.abs(twirl_then_gate - gate_then_twirl)) < 1e-12
+
+    def test_builds_one_label_grid(self):
+        # at d = 1001 the output is a 16 MB grid and its one int64 label
+        # grid, (x_a + x_r) mod d, 8 MB
+        d = 1001
+        state = random_pair(np.random.default_rng(38), d)
+        tracemalloc.start()
+        try:
+            out = sum_gate(state).amplitudes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * d * d + 2**20
+        # row x_r of the output is row x_r of the input rolled by x_r
+        assert all(np.array_equal(out[r], np.roll(state.amplitudes[r], r)) for r in range(d))
 
     def test_requires_relative_view(self):
         rng = np.random.default_rng(36)

@@ -13,10 +13,12 @@ from relphase import (
     DensityMatrix,
     Observable,
     PriorGrid,
+    QuditPairState,
     SizeLimitError,
     UniformPrior,
     coherence_witness,
     coherent_vector,
+    default_cutoff,
     expectation,
     mean_photon_number,
     parse_prior,
@@ -25,6 +27,7 @@ from relphase import (
     random_commutant_observable,
     to_blocks,
     twirl,
+    twirl_displacement,
     twirl_single_mode,
     twirl_two_mode,
     two_mode_coherent,
@@ -32,6 +35,7 @@ from relphase import (
     von_mises_prior,
 )
 from relphase.blocks import block_dim, block_offset
+from relphase.fock import CHUNK_ENTRIES
 from relphase.twirl import PhaseTwirl, _Gaussians, _phase_twirl
 
 from conftest import assert_refused, random_state_vector
@@ -632,6 +636,82 @@ def test_expectation_matches_dense_reference(seed, prior_index, basis, shape):
     for obs in observables:
         want = complex(np.sum(dense(obs) * rho.matrix.T))
         assert abs(expectation(obs, rho) - want.real) <= 1e-13
+
+
+def chunk_test_state(kind, rng):
+    """A state of one kind that ``expectation`` reads: a phase twirl of a
+    40-entry ket, a pair twirl at d = 5 whose shift weights may hold zeros,
+    or a 40 x 40 Hermitian ``DensityMatrix`` with complex or real entries."""
+    if kind == "phase":
+        return twirl_single_mode(random_state_vector(rng, 40), prior_family(rng)[rng.integers(5)])
+    if kind == "pair":
+        grid = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        weights = np.where(rng.uniform(size=5) < 0.5, 0.0, rng.uniform(size=5))
+        weights[rng.integers(5)] = 1.0
+        state = QuditPairState(grid / np.linalg.norm(grid), view="relative")
+        return twirl_displacement(state, weights / weights.sum())
+    raw = rng.standard_normal((40, 40))
+    if kind == "complex":
+        raw = raw + 1j * rng.standard_normal((40, 40))
+    return DensityMatrix(raw + raw.conj().T, "fock")
+
+
+def hermitian_observable(rng, rho, count, real):
+    """``count`` stored entries of a Hermitian observable on rho's space:
+    count // 2 entries (i, j), then their mirrors (j, i) with conjugate
+    values, then one diagonal entry if count is odd.  Real values if
+    ``real``, complex ones otherwise."""
+    dim, half = rho.shape[0], count // 2
+    i, j = rng.integers(0, dim, (2, half))
+    values = rng.standard_normal(half) + (0 if real else 1j * rng.standard_normal(half))
+    diagonal = rng.integers(0, dim, count % 2)
+    index = (np.concatenate([i, j, diagonal]), np.concatenate([j, i, diagonal]))
+    values = np.concatenate([values, values.conj(), rng.standard_normal(count % 2)])
+    return Observable(index, values, dim, rho.basis)
+
+
+@pytest.mark.parametrize("kind", ["phase", "pair", "complex", "real"])
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, CHUNK_ENTRIES - 1, CHUNK_ENTRIES, CHUNK_ENTRIES + 1, 3 * CHUNK_ENTRIES + 5],
+)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_chunked_expectation_has_the_whole_array_bits(kind, count, seed):
+    # the products are read a chunk at a time and summed once; the value is
+    # the one-line sum's, and a real state with real values sums as real
+    rng = np.random.default_rng(seed)
+    rho = chunk_test_state(kind, rng)
+    obs = hermitian_observable(rng, rho, count, real=kind == "real")
+    rows, cols = obs.index
+    whole = float(complex(np.sum(obs.values * rho.entries(cols, rows))).real)
+    assert expectation(obs, rho) == whole
+
+
+def test_observable_stores_arrays():
+    rng = np.random.default_rng(47)
+    rho = chunk_test_state("phase", rng)
+    obs = hermitian_observable(rng, rho, 11, real=False)
+    index = tuple(part.tolist() for part in obs.index)
+    as_lists = Observable(index, obs.values.tolist(), obs.dim, obs.basis)
+    assert all(isinstance(part, np.ndarray) for part in (*as_lists.index, as_lists.values))
+    assert expectation(as_lists, rho) == expectation(obs, rho)
+
+
+def test_expectation_memory_is_one_product_buffer():
+    # the alpha = 3 block commutant stores 328,350 entries, so its complex
+    # product buffer is 5.3 MB; the rest of the read is one chunk's gathers
+    n_max = default_cutoff(3)
+    state = two_mode_coherent(3, 3, n_max, n_max)
+    rho = twirl_two_mode(state / np.linalg.norm(state), von_mises_prior(4.0))
+    obs = random_commutant_observable(2 * n_max, 0, "block")
+    tracemalloc.start()
+    try:
+        expectation(obs, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * obs.values.size + 2**20
 
 
 def assert_factored_reads_match_dense(rho, reference, observables):

@@ -191,6 +191,12 @@ CASES = [
         "expectation(random_commutant_observable(2 * n_max, 0, 'block'), rho)",
     ),
     call(
+        "expectation(obs, rho), block commutant, vonmises:4",
+        "alpha = 3, 328350 entries",
+        SCORE.format(alpha=3) + "\nobs = random_commutant_observable(2 * n_max, 0, 'block')",
+        "expectation(obs, rho)",
+    ),
+    call(
         "twirl_single_mode(...).matrix, vonmises:4",
         "n = 2000, seeded ket",
         SINGLE_MODE.format(n=2000),
@@ -217,6 +223,12 @@ CASES = [
         for d in (31, 61, 101)
     ),
     call("twirled_relative", "d = 101", PAIR.format(d=101), "twirled_relative(state, prior)"),
+    call(
+        "sum_gate",
+        "d = 1001",
+        PAIR.format(d=1001) + "\nfrom relphase import sum_gate",
+        "sum_gate(state)",
+    ),
     *(
         call(
             "purity(twirl_displacement(...)), vonmises:4",

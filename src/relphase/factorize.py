@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _grid, default_cutoff, mean_photon_number
-from .fock import CHUNK_ENTRIES, _charge_sums, _clamp_unit, _coherent_window, check_entries, check_exact
+from .fock import CHUNK_ENTRIES, _abs2, _alignment, _charge_sums, _clamp_unit, _coherent_window
+from .fock import _conj_products, _hs_from_sums, check_entries, check_exact
 from .spin import _check_modes, _poisson_window, _wh_window
 
 __all__ = [
@@ -77,45 +78,46 @@ def relative_target(alpha: complex, beta: complex) -> complex:
     return complex(alpha * np.conj(beta) / abs(beta))
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    """|x|^2 entry by entry, as x.real**2 + x.imag**2."""
-    return x.real**2 + x.imag**2
-
-
 def _fsum(values: np.ndarray) -> float:
     """The correctly rounded sum of a float array (math.fsum reads a list
     faster than an array)."""
     return math.fsum(values.tolist())
 
 
-def _by_sector(values: np.ndarray, rows: slice, cols: int) -> np.ndarray:
-    """A per-sector vector read at the sector label of each entry of the rows
-    ``rows`` (a slice with start and stop set): the view whose entry (i, j)
-    is values[rows.start + i + j]."""
-    return np.lib.stride_tricks.sliding_window_view(values[rows.start : rows.stop + cols - 1], cols)
+def _by_sector(values: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """A per-sector vector read at the sector label of each entry of the tile
+    of the slices ``rows`` and ``cols`` (start and stop set): the strided
+    view of the contiguous ``values`` whose entry (i, j) is
+    values[rows.start + cols.start + i + j]."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    step = values.itemsize
+    return np.ndarray(shape, values.dtype, values, (rows.start + cols.start) * step, (step, step))
 
 
-def _sector_sums(shape, block_values) -> np.ndarray:
-    """Sum over the entries of each sector of the values that
-    ``block_values(rows)`` gives for the rows of the slice ``rows``; entry
-    (i, j) lies in sector i + j, the total photon number less lo1 + lo2 on
-    the window from (lo1, lo2).  The rows are taken in blocks of
-    CHUNK_ENTRIES entries at most, or one row if a row is longer, and summed
-    in pieces of at most CHUNK_ENTRIES entries: a whole block, or a run of
-    one longer row.  Each piece is one bincount over its sector labels in
-    row-major order, added to the sums of the pieces before it."""
+def _sector_sums(shape, tile_values) -> list:
+    """Sums over the entries of each sector of the arrays that
+    ``tile_values(rows, cols)`` gives for the tile of the slices ``rows``
+    and ``cols``, one sum per array; entry (i, j) lies in sector i + j, the
+    total photon number less lo1 + lo2 on the window from (lo1, lo2).  The
+    window is walked in tiles of at most CHUNK_ENTRIES entries, whole rows
+    where a row fits, else a run of one row, so no caller makes a whole
+    long row.  Each tile is one bincount per array over its sector labels
+    in row-major order, added to the sums of the tiles before it."""
     rows, cols = shape
-    step = max(1, CHUNK_ENTRIES // max(cols, 1))
-    # the labels of a full block; their prefix labels a shorter last block
-    # and each piece of a longer row, from the piece's first column
-    labels = _by_sector(np.arange(step + cols - 1), slice(0, step), cols).ravel()
-    for start in range(0, rows, step):
-        values = block_values(slice(start, min(start + step, rows))).ravel()
-        sums = np.zeros(rows + cols - 1, values.dtype) if start == 0 else sums
-        for lo in range(0, values.size, CHUNK_ENTRIES):
-            piece = values[lo : lo + CHUNK_ENTRIES]
-            size = labels[piece.size - 1] + 1  # the piece's largest label, plus one
-            sums[start + lo : start + lo + size] += _charge_sums(labels[: piece.size], piece, size)
+    width = max(1, min(cols, CHUNK_ENTRIES))
+    height = max(1, CHUNK_ENTRIES // width)
+    # the labels of a full tile; their prefix labels a shorter last tile
+    labels = np.add.outer(np.arange(height), np.arange(width)).ravel()
+    sums = []
+    for top in range(0, rows, height):
+        for left in range(0, cols, width):
+            tile = slice(top, min(top + height, rows)), slice(left, min(left + width, cols))
+            values = [value.ravel() for value in tile_values(*tile)]
+            sums = sums or [np.zeros(rows + cols - 1, value.dtype) for value in values]
+            count = values[0].size
+            size = labels[count - 1] + 1  # the tile's largest label, plus one
+            for total, value in zip(sums, values):
+                total[top + left : top + left + size] += _charge_sums(labels[:count], value, size)
     return sums
 
 
@@ -167,7 +169,7 @@ def _product_grid(
     squared mass."""
     check_entries(n1_max - lo1 + 1, n2_max - lo2 + 1)
     s, wh, _, mass = _product_profiles(nhat, collective_phase, z, n1_max, n2_max, lo1, lo2)
-    return _by_sector(s, slice(0, wh.size), n2_max - lo2 + 1) * wh[:, None], _fsum(mass)
+    return _by_sector(s, slice(0, wh.size), slice(0, n2_max - lo2 + 1)) * wh[:, None], _fsum(mass)
 
 
 def _normalized(grid: np.ndarray, mass: float) -> np.ndarray:
@@ -220,33 +222,33 @@ def approx_product_balanced(alpha: complex, phi_r: float, n_max=None) -> np.ndar
     return _normalized(*_product_grid(nhat, collective_phase, z, n_max, n_max))
 
 
-def _conj_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^* y entry by entry, from real products: y = x gives exactly
-    x.real**2 + x.imag**2 + 0j, which a fused complex multiply does not."""
-    return x.real * y.real + x.imag * y.imag + 1j * (x.real * y.imag - x.imag * y.real)
+def _uniform_twirled_hs(shape, mass, cross, pair, mass_a=1.0, mass_b=1.0) -> float:
+    """The HS distance of the uniform twirls of x / sqrt(mass_a) and
+    y / sqrt(mass_b) on a window of the given shape, from the sector sums
+    mass = ||x||^2 and cross = <x, y> of the unnormalized x and y and
+    ``pair(rows, cols)``, their entries (x, y) on a tile.  y is turned
+    towards x sector by sector and scaled to x's norm, by a factor
+    r t = 1 + (r t - 1) with r = sqrt(mass_a / mass_b) and t the phase,
+    then differenced entry by entry in one walk of the window, so no entry
+    is rounded by a normalization; ``fock._hs_from_sums`` closes at lag 0."""
+    chi = np.ones(1)  # the uniform prior's table: chi(0) = 1, 0 at every other lag
+    ratio = math.sqrt(mass_a / mass_b)
+    ratio_less_one = (mass_a - mass_b) / (mass_b * (ratio + 1.0))
+    turn = ratio * _alignment(cross, chi, chi) + ratio_less_one
 
+    def difference(rows, cols):
+        x, y = pair(rows, cols)
+        d = y - x
+        d += _by_sector(turn, rows, cols) * y
+        # x^* d as two real arrays, which the bincounts read without the
+        # strided copies that a complex array's parts need, and |d|^2
+        return x.real * d.real + x.imag * d.imag, x.real * d.imag - x.imag * d.real, _abs2(d)
 
-def _twirled_hs(shape, pa, pb, cross, pair, mass_a=1.0, mass_b=1.0) -> float:
-    """twirled_hs_distance of x / sqrt(mass_a) and y / sqrt(mass_b), from the
-    sector sums pa = ||x||^2, pb = ||y||^2 and cross = <x, y> of the
-    unnormalized x and y on a window of the given shape; ``pair(rows)``
-    gives the entries (x, y) of the rows of the slice ``rows``, which the
-    residual walks once.  Normalized, block N contributes
-    (pa/mass_a - pb/mass_b)^2 + 2 pa ||y - c x||^2 / (mass_a mass_b) with
-    c = cross / pa, so x = y gives c = 1 and a residual of exactly 0."""
-    # real and imaginary parts apart: a complex division rounds c = 1 off 1
-    c = np.zeros_like(cross)
-    filled = pa >= np.finfo(float).tiny
-    np.divide(cross.real, pa, out=c.real, where=filled)
-    np.divide(cross.imag, pa, out=c.imag, where=filled)
-
-    def residual(rows):
-        x, y = pair(rows)
-        return _abs2(y - _by_sector(c, rows, shape[1]) * x)
-
-    residual2 = _sector_sums(shape, residual)
-    terms = (pa / mass_a - pb / mass_b) ** 2 + 2.0 * pa * residual2 / (mass_a * mass_b)
-    return math.sqrt(float(np.sum(terms)))
+    real, imag, resid = _sector_sums(shape, difference)
+    lagged = real + 1j * imag
+    lagged /= mass_a
+    resid /= mass_a
+    return _hs_from_sums(mass / mass_a, lagged, resid, chi, chi)
 
 
 def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
@@ -255,25 +257,29 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
 
     The uniform twirl block-diagonalizes both, so the squared distance
     splits into rank-one pieces per total photon number N.  With x, y the
-    entries of block N in the two states, p_a = ||x||^2, p_b = ||y||^2 and
-    c = <x, y> / p_a, each piece is
-    ||x x^dag - y y^dag||^2 = (p_a - p_b)^2 + 2 p_a ||y - c x||^2,
-    with the residual y - c x summed entry by entry, so nearly identical
-    blocks do not cancel catastrophically and identical ones give 0.  A
-    block with p_a below the smallest normal float counts as empty (c = 0,
-    a piece p_a^2 + p_b^2): such a p_a has lost bits to underflow, and the
-    term dropped, 2 |<x, y>|^2 <= 2 p_a p_b, is below 5e-308.  Only the
+    entries of block N in the two states and y turned to make <x, y> real
+    and positive, d = y - x is summed entry by entry, and the piece
+    ||x x^dag - y y^dag||^2 is read from the sector sums ||x||^2, <x, d> and
+    ||d||^2 (``fock._hs_from_sums``), so nearly identical blocks do not
+    cancel catastrophically and identical ones give exactly 0.  Only the
     relative sector label matters, so the grids may be any common window of
-    the (n1, n2) plane.
+    the (n1, n2) plane.  A non-finite entry in either grid raises
+    ValueError.
     """
     a, b = _grid(state_a), _grid(state_b)
     if a.shape != b.shape:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
-    shape = a.shape
-    pa = _sector_sums(shape, lambda rows: _abs2(a[rows]))
-    pb = _sector_sums(shape, lambda rows: _abs2(b[rows]))
-    cross = _sector_sums(shape, lambda rows: _conj_products(a[rows], b[rows]))
-    return _twirled_hs(shape, pa, pb, cross, lambda rows: (a[rows], b[rows]))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("grid entries must be finite, got nan or inf")
+
+    def pair(rows, cols):
+        return a[rows, cols], b[rows, cols]
+
+    def sums(rows, cols):
+        x, y = pair(rows, cols)
+        return _abs2(x), _conj_products(x, y)
+
+    return _uniform_twirled_hs(a.shape, *_sector_sums(a.shape, sums), pair)
 
 
 def _weighted_overlap(rel: np.ndarray, inv_norm: np.ndarray, mass: float) -> float:
@@ -296,7 +302,9 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     state = _grid(state)
     rows, cols = state.shape
     wh, inv_norm = _wh_profile(z, 0, rows - 1, 0, rows + cols - 2)
-    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj())
+    (rel,) = _sector_sums(
+        state.shape, lambda rows, cols: (state[rows, cols] * wh[rows, None].conj(),)
+    )
     return _weighted_overlap(rel, inv_norm, float(np.sum(_abs2(state))))
 
 
@@ -307,10 +315,10 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
 
     Every window entry is a product of 1-D profiles: u_i v_j for the exact
     state (the Poisson windows of the two modes) and s_{i+j} w_i for the
-    product state (_product_profiles).  So every sector sum but the HS
-    residual is a convolution of profiles, the normalization is applied to
-    the sector sums, and only the residual walks the window, generating its
-    entries a row block at a time.
+    product state (_product_profiles).  So every sector sum but those of
+    the HS difference is a convolution of profiles, the normalization is
+    applied to the sector sums, and only the difference walks the window,
+    generating its entries a tile at a time.
     """
     z = relative_target(alpha, beta)
     n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
@@ -328,7 +336,7 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     lo2 = start(beta_sq, beta_sq + 2.0 * alpha_sq, n2_max)
     nhat = mean_photon_number(alpha, beta)
 
-    # the residual walks this window: it refuses |beta| = 19064 at |alpha| = 1
+    # the HS difference walks this window: it refuses |beta| = 19064 at |alpha| = 1
     check_entries(n1_max - lo1 + 1, n2_max - lo2 + 1)
     u = _coherent_window(alpha, lo1, n1_max)
     v = _coherent_window(beta, lo2, n2_max)
@@ -351,15 +359,15 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     cross = _conj_products(rel, s)
     overlap2 = _fsum(cross.real) ** 2 + _fsum(cross.imag) ** 2
 
-    def pair(rows):
-        return u[rows, None] * v, _by_sector(s, rows, v.size) * wh[rows, None]
+    def pair(rows, cols):
+        return u[rows, None] * v[cols], _by_sector(s, rows, cols) * wh[rows, None]
 
     return FactorizationReport(
         alpha=complex(alpha),
         beta=complex(beta),
         pure_fidelity=_clamp_unit(overlap2 / (exact_mass * product_mass)),
-        twirled_hs_distance=_twirled_hs(
-            (u.size, v.size), pa, pb, cross, pair, exact_mass, product_mass
+        twirled_hs_distance=_uniform_twirled_hs(
+            (u.size, v.size), pa, cross, pair, exact_mass, product_mass
         ),
         relative_state_overlap=_weighted_overlap(rel, inv_norm, exact_mass),
         n1_max=n1_max,

@@ -31,13 +31,13 @@ CLAMP_TOL = 1e-9
 # input calls check_entries just before it allocates.
 MAX_ENTRIES = 2**23
 
-# Entries that a chunked walk takes at once: a piece of the sector sums
+# Entries that a chunked walk takes at once: a tile of the sector sums
 # over a grid window (whole rows, or a run of one longer row) and a chunk of
 # whole rows of the chi table of a phase twirl.  A block of complex entries
 # is then 64 kB, small enough that the allocator reuses freed memory for
 # the next block's temporaries instead of mapping fresh pages: at 2**16
-# entries the HS residual walk of a factorization report in a new
-# interpreter took up to twice as long.
+# entries the HS walk of a factorization report in a new interpreter took
+# up to twice as long.
 CHUNK_ENTRIES = 2**12
 
 
@@ -68,6 +68,75 @@ def _charge_sums(labels: np.ndarray, values: np.ndarray, size: int) -> np.ndarra
     if np.iscomplexobj(values):
         return _charge_sums(labels, values.real, size) + 1j * _charge_sums(labels, values.imag, size)
     return np.bincount(labels, weights=values, minlength=size)
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 entry by entry, as x.real**2 + x.imag**2."""
+    return x.real**2 + x.imag**2
+
+
+def _conj_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^* y entry by entry, from real products: y = x gives exactly
+    x.real**2 + x.imag**2 + 0j, which a fused complex multiply does not."""
+    return x.real * y.real + x.imag * y.imag + 1j * (x.real * y.imag - x.imag * y.real)
+
+
+def _lag_zero(chi_a: np.ndarray, chi_b: np.ndarray) -> bool:
+    """Whether both chi tables vanish at every lag but 0, as the uniform
+    prior's do: then neither twirled state holds a coherence between two
+    charges, and the phase of each charge is invisible."""
+    return np.count_nonzero(chi_a) == np.count_nonzero(chi_b) == 1
+
+
+def _alignment(cross: np.ndarray, chi_a: np.ndarray, chi_b: np.ndarray) -> np.ndarray:
+    """Per charge, t - 1 for the phase t = e^{-i arg c} that turns a ket y
+    towards x, from the per-charge sums cross = sum x^* y: the phase of
+    each charge's own c where both twirls vanish off lag 0, else the one
+    phase of the whole sum, which no twirl sees.  The difference of x and
+    the turned y is then d = (y - x) + (t - 1) y, and t - 1 is taken as
+    -2 sin^2(theta/2) - i sin(theta), so that d keeps its relative
+    precision where t is near 1: y t itself rounds off by an ulp of y.
+    t - 1 is 0 where c is 0 or real and positive, as for y = x."""
+    c = cross if _lag_zero(chi_a, chi_b) else np.full_like(cross, cross.sum())
+    theta = np.angle(c)
+    return -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
+
+
+def _hs_from_sums(mass, lagged, resid, chi_a, chi_b) -> float:
+    """||rho - sigma|| for the twirls rho of a ket x and sigma of a ket y
+    over the same charges, with chi tables chi_a and chi_b (chi(m) at
+    ``chi[m + max q]``), from the per-charge sums mass = x^* x,
+    lagged = x^* d and resid = d^* d of the difference d of x and y, y
+    turned towards x first (``_alignment``).
+
+    The block of rho - sigma at charges (q, q') with lag m = q - q' is
+    a x x'^dag - b (d x'^dag + x d'^dag + d d'^dag), with a = chi_a(m) -
+    chi_b(m) and b = chi_b(m), and its squared norm is a Gram form in the
+    sums at q and q'.  Summed over the pairs at each lag, every term is a
+    correlation sum_q f_q g_{q-m} of two per-charge sums, weighted by |a|^2,
+    |b|^2 or a^* b; chi(-m) = chi(m)^* folds the pairs (f, g) and (g, f)
+    together.  Where both tables vanish off lag 0 (the uniform prior) only
+    lag 0 is evaluated, where a = 0 and b = 1, and each charge gives
+    ||x x^dag - y y^dag||^2 = 2 P S + 2 Re R^2 + 4 S Re R + S^2
+    (P, R, S its mass, lagged and resid).  So y = x gives exactly 0, and a
+    small distance is read from d, not from the difference of two nearly
+    equal states.
+    """
+    lag_zero = _lag_zero(chi_a, chi_b)
+
+    def lags(f, g):
+        return f * g if lag_zero else np.correlate(f, np.conj(g), "full")
+
+    # the |b|^2 terms, real: Re R_q R_q' = Re R_q Re R_q' - Im R_q Im R_q'
+    real, imag = lagged.real, lagged.imag
+    total = 2.0 * (lags(mass, resid) + lags(real, real) - lags(imag, imag))
+    total += 4.0 * lags(real, resid) + lags(resid, resid)
+    if not lag_zero:
+        a, b = chi_a - chi_b, chi_b
+        cross = lags(mass, lagged.conj()) + lags(lagged, mass) + lags(lagged, lagged.conj())
+        total = np.abs(a) ** 2 * lags(mass, mass) + np.abs(b) ** 2 * total
+        total -= 2.0 * (np.conj(a) * b * cross).real
+    return math.sqrt(max(float(np.sum(total)), 0.0))
 
 
 # log n! = n ln n - n + R(n), with the Stirling remainder
@@ -257,13 +326,21 @@ def purity(rho) -> float:
     return float(value.real)
 
 
-def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Hilbert-Schmidt (Frobenius) distance between two density matrices.
-    A non-finite entry in either raises ValueError."""
+def hs_distance(rho, sigma) -> float:
+    """Hilbert-Schmidt (Frobenius) distance between two states of one basis
+    and shape.  Two twirled states of one kind over the same charge labels
+    are compared from their factors (``_hs_from_sums``), with no dense
+    matrix; a ``DensityMatrix`` operand is compared entry by entry with the
+    other state's dense matrix, and a non-finite entry in either raises
+    ValueError.  A twirled state's ket is finite by construction."""
     if rho.basis != sigma.basis:
         raise ValueError(f"basis mismatch: {rho.basis!r} vs {sigma.basis!r}")
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValueError(f"dimension mismatch: {rho.matrix.shape} vs {sigma.matrix.shape}")
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    if type(rho) is type(sigma) is not DensityMatrix:
+        sums = rho._hs_sums(sigma)  # None where the charge labels differ
+        if sums is not None:
+            return _hs_from_sums(*sums)
     if not (np.isfinite(rho.matrix).all() and np.isfinite(sigma.matrix).all()):
         raise ValueError("density matrix entries must be finite, got nan or inf")
     return float(np.linalg.norm(rho.matrix - sigma.matrix))

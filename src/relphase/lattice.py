@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import DensityMatrix, check_entries
+from .fock import DensityMatrix, _alignment, _conj_products, check_entries
 from .twirl import TWO_PI, PhaseTwirl, PriorGrid, _check_prior_weights, _phase_twirl
-from .twirl import read_prior_rows, read_prior_spec, von_mises_prior
+from .twirl import _difference_sums, read_prior_rows, read_prior_spec, von_mises_prior
 
 __all__ = [
     "PairTwirl",
@@ -163,7 +163,8 @@ class PairTwirl:
     ``matrix`` is the d^2 x d^2 density matrix in the relative basis (flat
     index x_r * d + x_a), built on first read and kept.  ``entries`` sums
     the shifted amplitudes over the prior's support; ``trace_square`` and
-    ``overlap`` read the phase twirl over collective momentum.
+    ``overlap`` and ``hs_distance`` read the phase twirl over collective
+    momentum.
     """
 
     amplitudes: np.ndarray
@@ -208,6 +209,20 @@ class PairTwirl:
     def overlap(self, phi: np.ndarray) -> complex:
         """<phi|rho|phi> for a ket phi over the flat relative index."""
         return self.momentum_twirl.overlap(_momentum(np.reshape(phi, self.amplitudes.shape)))
+
+    def _hs_sums(self, other):
+        """The arguments of ``fock._hs_from_sums`` for this twirl against
+        ``other``, over collective momentum.  The difference is taken of the
+        relative-view amplitudes, after one global phase turns other's
+        towards these (``fock._alignment``), and then moved to momentum: the
+        FFT is linear, so d stays exact where two FFT outputs would
+        cancel."""
+        x, y = self.amplitudes, other.amplitudes
+        mine, chi_b = self.momentum_twirl, other.momentum_twirl.chi
+        # one sum over every entry, so its phase is global under any prior
+        cross = np.sum(_conj_products(x, y), keepdims=True)
+        d = _momentum((y - x) + _alignment(cross, mine.chi, chi_b) * y)
+        return (*_difference_sums(mine.psi, d, mine.labels, x.shape[0]), mine.chi, chi_b)
 
     @cached_property
     def matrix(self) -> np.ndarray:

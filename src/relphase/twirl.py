@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
-from .fock import CHUNK_ENTRIES, _charge_sums, check_entries
+from .fock import CHUNK_ENTRIES, _abs2, _alignment, _charge_sums, _conj_products, check_entries
 
 __all__ = [
     "Observable",
@@ -199,8 +199,8 @@ class PhaseTwirl:
     ``chi[m + max q]``.
 
     ``matrix`` is the dense density matrix in the index convention
-    ``basis``, built on first read and kept; ``entries``, ``trace_square``
-    and ``overlap`` read the factors.
+    ``basis``, built on first read and kept; ``entries``, ``trace_square``,
+    ``overlap`` and ``hs_distance`` read the factors.
     """
 
     psi: np.ndarray
@@ -229,6 +229,18 @@ class PhaseTwirl:
         c = _charge_sums(self.labels, phi.conj() * self.psi, self.chi.size // 2 + 1)
         return complex(np.dot(self.chi, np.correlate(c, c, "full")))
 
+    def _hs_sums(self, other):
+        """The arguments of ``fock._hs_from_sums`` for this twirl against
+        ``other``, or None where their charge labels differ: other's ket
+        turned towards this one (``fock._alignment``), differenced, and
+        summed per charge."""
+        if not np.array_equal(self.labels, other.labels):
+            return None
+        x, y, labels, size = self.psi, other.psi, self.labels, self.chi.size // 2 + 1
+        turn = _alignment(_charge_sums(labels, _conj_products(x, y), size), self.chi, other.chi)
+        d = (y - x) + turn[labels] * y
+        return (*_difference_sums(x, d, labels, size), self.chi, other.chi)
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """One row band per run of consecutive rows with one charge q and
@@ -249,6 +261,13 @@ class PhaseTwirl:
             np.multiply(psi[lo:hi, None], conj, out=band)
             band *= self.chi[labels[lo] - labels[None, :] + span]
         return out
+
+
+def _difference_sums(x: np.ndarray, d: np.ndarray, labels: np.ndarray, size: int) -> tuple:
+    """The per-charge sums x^* x, x^* d and d^* d over charges 0..size-1."""
+    return tuple(
+        _charge_sums(labels, values, size) for values in (_abs2(x), _conj_products(x, d), _abs2(d))
+    )
 
 
 def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwirl:

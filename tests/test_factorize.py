@@ -32,7 +32,8 @@ from relphase.factorize import (
     _weighted_overlap,
     _wh_profile,
 )
-from relphase.fock import CHUNK_ENTRIES, MAX_ENTRIES, _coherent_window
+from relphase.fock import CHUNK_ENTRIES, MAX_ENTRIES, _coherent_window, _log_poisson
+from relphase.spin import _log_spin_profile
 
 from conftest import FIXTURES, HAS_VMHWM, RUN_CLI, assert_refused, peak_mb
 
@@ -281,9 +282,32 @@ def test_sector_sums_match_bincount_over_full_label_grid(shape, complex_values, 
     want = np.bincount(labels, values.real.ravel())
     if complex_values:
         want = want + 1j * np.bincount(labels, values.imag.ravel())
-    got = _sector_sums(shape, lambda rows: values[rows])
+    tiles = []
+
+    def tile_values(rows, cols):
+        tiles.append(values[rows, cols].size)
+        return (values[rows, cols],)
+
+    (got,) = _sector_sums(shape, tile_values)
     assert got.dtype == values.dtype
     assert np.array_equal(got, want)
+    assert sum(tiles) == values.size
+
+
+@pytest.mark.parametrize("shape", [(22, 381302), (22, 2001), (3000, 7), (1, 1)])
+def test_sector_sums_walk_tiles_of_at_most_a_chunk(shape):
+    # whole rows where a row fits in a chunk, else runs of one row: the
+    # report's 22 x 381302 window at |beta| = 19063 never makes a whole row
+    tiles = []
+
+    def tile_values(rows, cols):
+        tiles.append((rows.stop - rows.start, cols.stop - cols.start))
+        return (np.ones(tiles[-1]),)
+
+    (sums,) = _sector_sums(shape, tile_values)
+    assert sums.sum() == shape[0] * shape[1]
+    assert max(rows * cols for rows, cols in tiles) <= CHUNK_ENTRIES
+    assert all(cols == shape[1] or rows == 1 for rows, cols in tiles)
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,8 +581,11 @@ class TestInputLimits:
             lambda: factorization_fidelity(math.inf, 2.0),
             lambda: factorization_fidelity(1.0, complex(math.nan, math.nan)),
             lambda: approx_product_balanced(1.0, math.nan),
+            # a NaN entry made the distance NaN, with no error
+            lambda: twirled_hs_distance(np.full((2, 2), 0.5), np.array([[math.nan, 0.5]] * 2)),
         ],
-        ids=["cutoff-inf", "cutoff-nan", "target-nan", "alpha-inf", "beta-nan", "balanced-phase"],
+        ids=["cutoff-inf", "cutoff-nan", "target-nan", "alpha-inf", "beta-nan", "balanced-phase",
+             "hs-grid-nan"],
     )
     def test_non_finite_input_rejected(self, call):
         with pytest.raises(ValueError, match="finite"):
@@ -647,7 +674,9 @@ def window_overlap(state, z, lo1, lo2):
     rows, cols = state.shape
     n_lo = lo1 + lo2
     wh, inv_norm = _wh_profile(z, lo1, lo1 + rows - 1, n_lo, n_lo + rows + cols - 2)
-    rel = _sector_sums(state.shape, lambda block: state[block] * wh[block, None].conj())
+    (rel,) = _sector_sums(
+        state.shape, lambda rows, cols: (state[rows, cols] * wh[rows, None].conj(),)
+    )
     return _weighted_overlap(rel, inv_norm, float(np.sum(np.abs(state) ** 2)))
 
 
@@ -839,3 +868,63 @@ def test_infidelity_follows_the_two_term_law(alpha_mag, beta_mag, alpha_phase, b
     entries = (report.n1_max + 1) * (report.n2_max + 1)
     roundoff = 3 * math.sqrt(entries) * np.finfo(float).eps
     assert abs((1 - report.pure_fidelity) - law) <= truncation + roundoff
+
+
+def block_route_fidelity(alpha_mag, beta_mag, rows=2**12):
+    """Reference pure fidelity by the block route, which shares no grid or
+    profile-convolution code with factorization_fidelity.  Block N of the
+    exact state is sqrt(P(N)) spin_coherent(N, alpha/beta) and block N of
+    the product state sqrt(P(N)) times the WH profile of |alpha|
+    renormalized over k <= N, with P Poisson of mean |alpha|^2 + |beta|^2,
+    so at real amplitudes F = (sum_N P(N) o_N)^2 with o_N = <spin_N | WH_N>
+    real and positive, and o_0 = 1.
+
+    Everything is a log Poisson mass: P(N) times the binomial of the spin
+    profile is Pois(k; |alpha|^2) Pois(N - k; |beta|^2) (Poisson splitting;
+    _log_spin_profile takes one N per call), and the WH weights w_k^2 are
+    Pois(k; |alpha|^2), with W_N their sum over k <= N.  The N axis spans
+    9 standard deviations each side, where the Poisson tails are below
+    e^-40, and the k axis the WH weights above e^-55; the terms are
+    tabulated ``rows`` values of N at a time, far below MAX_ENTRIES, each
+    table summed by np.sum and the tables by math.fsum."""
+    nhat = alpha_mag**2 + beta_mag**2
+    spread = 9.0 * math.sqrt(nhat) + 10.0
+    big_n = np.arange(max(0, math.floor(nhat - spread)), math.ceil(nhat + spread) + 1)
+    k = np.arange(math.ceil(alpha_mag**2 + 10.0 * alpha_mag + 15.0) + 1)
+    log_w = _log_poisson(k, alpha_mag)
+    log_norm = np.log(np.cumsum(np.exp(log_w)))  # log W_N at N = k
+    log_p = _log_poisson(big_n, math.sqrt(nhat))
+    sums = []
+    for lo in range(0, big_n.size, rows):
+        n = big_n[lo : lo + rows, None]
+        rest = n - k
+        log_exact = log_w + _log_poisson(np.maximum(rest, 0), beta_mag)
+        log_product = log_p[lo : lo + rows, None] + log_w - log_norm[np.minimum(n, k[-1])]
+        terms = np.exp(0.5 * (log_exact + log_product))
+        sums.append(float(np.sum(terms, where=rest >= 0)))
+    return math.fsum(sums) ** 2
+
+
+def test_block_route_tables_the_spin_profile():
+    # the split table row at N equals sqrt(P(N)) times the spin profile
+    alpha_mag, beta_mag = 1.0, 3000.0
+    nhat = alpha_mag**2 + beta_mag**2
+    k = np.arange(54)
+    for big_n in (0, 1, 53, 9_000_001, 9_036_000):
+        inside = k[k <= big_n]
+        split = _log_poisson(inside, alpha_mag) + _log_poisson(big_n - inside, beta_mag)
+        if big_n == 0:
+            want = _log_poisson(np.array([0]), math.sqrt(nhat))
+        else:
+            want = _log_poisson(np.array([big_n]), math.sqrt(nhat)) + 2.0 * _log_spin_profile(
+                big_n, alpha_mag / beta_mag, inside
+            )
+        assert np.allclose(split, want, rtol=1e-13, atol=1e-11)
+
+
+@pytest.mark.parametrize("beta_mag", [3000.0, 19063.0])
+def test_pure_fidelity_matches_the_block_route(beta_mag):
+    # mpmath is slow over these windows; measured: the report is 1.1e-15
+    # below the block route at both sizes
+    report = factorization_fidelity(1.0, beta_mag)
+    assert abs(report.pure_fidelity - block_route_fidelity(1.0, beta_mag)) <= 1e-14

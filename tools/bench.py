@@ -74,6 +74,29 @@ state = two_mode_coherent(1, 4, 9, 59)
 state = state / np.linalg.norm(state)
 """ + VON_MISES
 
+# two alpha = 2 twirls of 2415 x 2415 under vonmises:4: the exact state
+# and the balanced product construction on the same grid
+TWIRL_PAIR = """\
+import numpy as np
+from relphase import approx_product_balanced, hs_distance, parse_prior, twirl_two_mode
+from relphase import two_mode_coherent
+prior = parse_prior("vonmises:4")
+approx = approx_product_balanced(2.0, 0.0)
+exact = two_mode_coherent(2.0, 2.0, approx.shape[0] - 1, approx.shape[1] - 1)
+rho = twirl_two_mode(exact / np.linalg.norm(exact), prior)
+sigma = twirl_two_mode(approx, prior)
+"""
+
+# the ROADMAP Baseline pair: two states 1e-9 apart in |beta|, at a
+# distance of 4.73150747232548e-10
+NEAR_PAIR = """\
+import numpy as np
+from relphase import twirled_hs_distance, two_mode_coherent
+a = two_mode_coherent(2, 1.5, 20, 18)
+b = two_mode_coherent(2, 1.5 + 1e-9, 20, 18)
+a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+"""
+
 SCORE = TWO_MODE + """
 from relphase import expectation, random_commutant_observable
 rho = twirl_two_mode(state, prior)"""
@@ -213,6 +236,10 @@ CASES = [
             ("relative_state_overlap", "relative_state_overlap(exact, z)"),
         )
     ),
+    call("hs_distance(rho, sigma), vonmises:4", "alpha = 2, 2415 x 2415", TWIRL_PAIR,
+         "hs_distance(rho, sigma)"),
+    call("twirled_hs_distance", "two_mode_coherent(2, 1.5, 20, 18), |beta| + 1e-9", NEAR_PAIR,
+         "twirled_hs_distance(a, b)"),
     *(
         call(
             "reduced_relative(twirl_displacement(...)), vonmises:4",

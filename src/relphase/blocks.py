@@ -104,10 +104,12 @@ class BlockState:
 
 def _grid(state) -> np.ndarray:
     """``state`` as a complex (n1, n2) amplitude grid; any other number of
-    axes raises ValueError."""
+    axes, a grid with no entries or a non-finite entry raises ValueError."""
     state = np.asarray(state, dtype=complex)
-    if state.ndim != 2:
-        raise ValueError(f"expected a 2-D amplitude grid, got shape {state.shape}")
+    if state.ndim != 2 or state.size == 0:
+        raise ValueError(f"expected a nonempty 2-D amplitude grid, got shape {state.shape}")
+    if not np.isfinite(state).all():
+        raise ValueError("grid entries must be finite, got nan or inf")
     return state
 
 

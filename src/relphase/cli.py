@@ -32,6 +32,8 @@ from .spin import contraction_overlap
 from .twirl import _Gaussians, coherence_witness, expectation, parse_prior
 from .twirl import random_commutant_observable, twirl_single_mode
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3

@@ -226,6 +226,10 @@ class PairTwirl:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        """The d^2 x d^2 density matrix, from the shifted kets: not yet under
+        MAX_ENTRIES, because the perfbench tracer still reads it for the
+        d = 61 pair twirls of ``way-demo`` (13.8M entries, above the limit);
+        the check comes once the tracer reads the factors instead."""
         shifts = np.flatnonzero(self.weights)
         rotated = np.stack([np.roll(self.amplitudes, 2 * int(s), axis=1).ravel() for s in shifts])
         return (rotated.T * self.weights[shifts]) @ rotated.conj()

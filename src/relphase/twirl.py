@@ -246,7 +246,9 @@ class PhaseTwirl:
         """One row band per run of consecutive rows with one charge q and
         psi_i != 0: psi_i psi^dag, then times chi(q - q_j), so no full-size
         temporary is made.  Rows where psi is 0 stay +0 from ``np.zeros``
-        and are never written."""
+        and are never written.  A matrix above MAX_ENTRIES raises
+        SizeLimitError before it is allocated."""
+        check_entries(*self.shape)
         psi, labels, span = self.psi, self.labels, self.chi.size // 2
         # 2-D operands, as np.outer has: numpy takes another path, which rounds
         # complex products differently, for a broadcast 1-element 1-D operand

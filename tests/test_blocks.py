@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,11 @@ from relphase import (
     from_blocks,
     mean_photon_number,
     params_from_modes,
+    relative_state_overlap,
     spin_coherent,
     to_blocks,
     twirl_two_mode,
+    twirled_hs_distance,
     two_mode_coherent,
 )
 
@@ -158,6 +161,27 @@ class TestBlockKetLimit:
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
+
+
+class TestGridRule:
+    """Every grid input passes one check: a 2-D array with at least one
+    entry, all of them finite."""
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 3), (3, 0)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            to_blocks,
+            lambda grid: twirl_two_mode(grid, UNIFORM),
+            lambda grid: twirled_hs_distance(grid, grid),
+            lambda grid: relative_state_overlap(grid, 1.0),
+        ],
+        ids=["to_blocks", "twirl", "hs", "overlap"],
+    )
+    def test_bad_shape_refused(self, call, shape):
+        grid = np.zeros(shape, dtype=complex)
+        message = re.escape(f"expected a nonempty 2-D amplitude grid, got shape {shape}")
+        assert_refused(lambda: call(grid), ValueError, message)
 
 
 class TestFromBlocks:

@@ -803,6 +803,16 @@ SHARED_FLAGS = {
 }
 
 
+def test_fuzz_tables_hold_every_flag():
+    # every flag of the option table is drawn, but --out, which would write
+    # files: a flag added to cli.COMMANDS or cli.SHARED must be added here
+    assert list(FUZZ_FLAGS) == list(cli.COMMANDS)
+    for command, (_, _, options) in cli.COMMANDS.items():
+        required, optional = FUZZ_FLAGS[command]
+        assert sorted({**required, **optional}) == sorted(flag for flag, *_ in options), command
+    assert sorted(SHARED_FLAGS) == sorted(flag for flag, *_ in cli.SHARED if flag != "--out")
+
+
 def _argv(command):
     """A command line of ``command``: its required flags and a random subset
     of the others, in a random order."""

@@ -583,9 +583,14 @@ class TestInputLimits:
             lambda: approx_product_balanced(1.0, math.nan),
             # a NaN entry made the distance NaN, with no error
             lambda: twirled_hs_distance(np.full((2, 2), 0.5), np.array([[math.nan, 0.5]] * 2)),
+            # the one grid check: these gave NaN blocks, "outside [0, 1]" and
+            # "normalized"
+            lambda: to_blocks(np.array([[math.nan, 0.5]] * 2)),
+            lambda: relative_state_overlap(np.array([[math.nan, 0.5]] * 2), 1.0),
+            lambda: twirl_two_mode(np.array([[math.nan, 0.5]] * 2), UNIFORM),
         ],
         ids=["cutoff-inf", "cutoff-nan", "target-nan", "alpha-inf", "beta-nan", "balanced-phase",
-             "hs-grid-nan"],
+             "hs-grid-nan", "blocks-grid-nan", "overlap-grid-nan", "twirl-grid-nan"],
     )
     def test_non_finite_input_rejected(self, call):
         with pytest.raises(ValueError, match="finite"):
@@ -618,7 +623,7 @@ class TestInputLimits:
         assert_refused(call, error, message)
 
     def test_nan_grid_overlap_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="finite"):
             relative_state_overlap(np.full((3, 3), math.nan), 1.0)
 
     def test_overflowing_cutoff_is_size_error(self):

@@ -273,7 +273,7 @@ class TestTwirlTwoMode:
                 assert abs(block_weight - expected) < 1e-10
 
     def test_nan_input_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="finite"):
             twirl_two_mode(np.full((2, 2), math.nan), UNIFORM)
 
     def test_point_prior_preserves_purity(self):
@@ -932,6 +932,18 @@ def test_oversize_table_refused_before_allocation(call, message):
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_oversize_dense_matrix_refused_before_allocation():
+    # 2897^2 entries (134 MB) are just above MAX_ENTRIES; the factors of the
+    # twirl are 2897 entries each
+    psi = np.zeros(2897, dtype=complex)
+    psi[0] = 1.0
+    assert_refused(
+        lambda: twirl_single_mode(psi, UNIFORM).matrix,
+        SizeLimitError,
+        "a 2897 x 2897 grid has 8392609 entries",
+    )
 
 
 class TestSeededDraws:

@@ -186,7 +186,7 @@ CASES = [
             TWO_MODE.format(alpha=alpha),
             "twirl_two_mode(state, prior).matrix",
         )
-        for alpha in (1, 2, 3)
+        for alpha in (1, 2)
     ),
     call(
         "twirl_two_mode(...).matrix, vonmises:4",

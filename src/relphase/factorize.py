@@ -306,6 +306,14 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     return _weighted_overlap(rel, inv_norm, float(np.sum(_abs2(state))))
 
 
+def _retained_mass(mass: float, n1: int, n2: int, state: str) -> float:
+    """``mass``, the squared norm that the cutoffs (n1, n2) retain of
+    ``state``; a mass below MIN_RETAINED_MASS raises InsufficientCutoffError."""
+    if mass < MIN_RETAINED_MASS:
+        raise InsufficientCutoffError(f"cutoffs ({n1}, {n2}) retain only {mass!r} of the {state}")
+    return mass
+
+
 def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> FactorizationReport:
     """Compare the exact two-mode coherent state with its product
     approximation: pure overlap, uniformly twirled HS distance, and the
@@ -339,18 +347,10 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     u = _coherent_window(alpha, lo1, n1_max)
     v = _coherent_window(beta, lo2, n2_max)
     pa = np.convolve(_abs2(u), _abs2(v))
-    exact_mass = _fsum(pa)
-    if exact_mass < MIN_RETAINED_MASS:
-        raise InsufficientCutoffError(
-            f"cutoffs ({n1_max}, {n2_max}) retain only {exact_mass!r} of the exact state"
-        )
+    exact_mass = _retained_mass(_fsum(pa), n1_max, n2_max, "exact state")
     phase = _normal(beta)
     s, wh, inv_norm, pb = _product_profiles(nhat, phase / abs(phase), z, n1_max, n2_max, lo1, lo2)
-    product_mass = _fsum(pb)
-    if product_mass < MIN_RETAINED_MASS:
-        raise InsufficientCutoffError(
-            f"cutoffs ({n1_max}, {n2_max}) retain only {product_mass!r} of the product state"
-        )
+    product_mass = _retained_mass(_fsum(pb), n1_max, n2_max, "product state")
     # rel_N = sum of u_i v_j w_i^* over sector N; the cross sum <x, y> there
     # is rel_N^* s_N
     rel = np.convolve(u * wh.conj(), v)

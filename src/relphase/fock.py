@@ -328,19 +328,19 @@ def purity(rho) -> float:
 
 def hs_distance(rho, sigma) -> float:
     """Hilbert-Schmidt (Frobenius) distance between two states of one basis
-    and shape.  Two twirled states of one kind over the same charge labels
-    are compared from their factors (``_hs_from_sums``), with no dense
-    matrix; a ``DensityMatrix`` operand is compared entry by entry with the
-    other state's dense matrix, and a non-finite entry in either raises
+    and shape.  Two twirled states of one kind are compared from their
+    factors (``_hs_from_sums``), with no dense matrix: every public
+    constructor fixes the charge labels from the basis and shape, and a
+    hand-built pair over different labels raises ValueError.  A
+    ``DensityMatrix`` operand is compared entry by entry with the other
+    state's dense matrix, and a non-finite entry in either raises
     ValueError.  A twirled state's ket is finite by construction."""
     if rho.basis != sigma.basis:
         raise ValueError(f"basis mismatch: {rho.basis!r} vs {sigma.basis!r}")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     if type(rho) is type(sigma) is not DensityMatrix:
-        sums = rho._hs_sums(sigma)  # None where the charge labels differ
-        if sums is not None:
-            return _hs_from_sums(*sums)
+        return _hs_from_sums(*rho._hs_sums(sigma))
     if not (np.isfinite(rho.matrix).all() and np.isfinite(sigma.matrix).all()):
         raise ValueError("density matrix entries must be finite, got nan or inf")
     return float(np.linalg.norm(rho.matrix - sigma.matrix))

@@ -231,11 +231,12 @@ class PhaseTwirl:
 
     def _hs_sums(self, other):
         """The arguments of ``fock._hs_from_sums`` for this twirl against
-        ``other``, or None where their charge labels differ: other's ket
-        turned towards this one (``fock._alignment``), differenced, and
-        summed per charge."""
+        ``other``: other's ket turned towards this one
+        (``fock._alignment``), differenced, and summed per charge.  Twirls
+        over different charge labels, which only a hand-built pair can be,
+        raise ValueError."""
         if not np.array_equal(self.labels, other.labels):
-            return None
+            raise ValueError("twirled states over different charge labels")
         x, y, labels, size = self.psi, other.psi, self.labels, self.chi.size // 2 + 1
         turn = _alignment(_charge_sums(labels, _conj_products(x, y), size), self.chi, other.chi)
         d = (y - x) + turn[labels] * y

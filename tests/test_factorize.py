@@ -615,9 +615,15 @@ class TestInputLimits:
                 InsufficientCutoffError,
                 "cutoffs \\(3, 3\\) retain only 0.0 of the product state",
             ),
+            # a zero grid: no block to average over
+            (
+                lambda: relative_state_overlap(np.zeros((2, 3)), 1.0),
+                ValueError,
+                "^state has no populated blocks$",
+            ),
         ],
         ids=["balanced-alpha", "balanced-phase", "balanced-overflow", "balanced-2^53",
-             "empty-window", "balanced-empty-window"],
+             "empty-window", "balanced-empty-window", "overlap-zero-state"],
     )
     def test_product_preconditions_refused(self, call, error, message):
         assert_refused(call, error, message)

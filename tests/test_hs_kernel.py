@@ -30,9 +30,13 @@ from relphase import (
 from relphase.lattice import PairTwirl
 from relphase.twirl import PhaseTwirl
 
+from conftest import assert_refused
+
 # ||rho - sigma|| of the uniform twirls of two_mode_coherent(2, 1.5, 20, 18)
 # and the same state at |beta| + 1e-9, both normalized, summed in 50 digits
 BASELINE_DISTANCE = 4.73150747232548e-10
+
+EPS = np.finfo(float).eps
 
 
 def mpmath_hs_distance(x, y, labels, chi_a, chi_b):
@@ -116,14 +120,35 @@ def twirl_pair(kind, x, y, prior_a, prior_b):
     return twirl(x, prior_a), twirl(y, prior_b)
 
 
+def near_pair(seed, kind, shape, e, prior_kinds):
+    """Two twirls of one kind: a random ket x of ``shape`` from
+    default_rng(seed), and y = x plus a random complex perturbation 10^-e
+    of its norm, renormalized.  x's twirl has a prior of the first kind
+    in ``prior_kinds``, y's one of the last; one kind gives both the same
+    prior."""
+    rng = np.random.default_rng(seed)
+
+    def ket():
+        return unit(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def prior(name):
+        if kind == "pair":
+            return random_shift_prior(rng, name, shape[0])
+        return random_phase_prior(rng, name)
+
+    x = ket()
+    y = unit(x + 10.0**-e * ket())
+    priors = [prior(name) for name in prior_kinds]
+    return twirl_pair(kind, x, y, priors[0], priors[-1])
+
+
 @st.composite
 def near_twirls(draw):
-    """Two twirls of one kind: single-mode kets of up to 30 entries, two-mode
-    grids up to 4 x 4 or pair states with d <= 7.  The second ket is the
-    first plus a random complex perturbation 10^-e of its norm, e in
-    [0, 12], renormalized; in one case in five the second twirl has a prior
-    of its own (uniform, von Mises, two-point or a random grid)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    """``near_pair`` of single-mode kets of up to 30 entries, two-mode grids
+    up to 4 x 4 or pair states with d <= 7, with e in [0, 12]; in one case
+    in five the second twirl has a prior of its own (uniform, von Mises,
+    two-point or a random grid)."""
+    seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["single", "two-mode", "pair"]))
     if kind == "single":
         shape = (draw(st.integers(1, 30)),)
@@ -131,30 +156,42 @@ def near_twirls(draw):
         shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     else:
         shape = (draw(st.sampled_from([3, 5, 7])),) * 2
-
-    def ket():
-        return unit(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    def prior():
-        name = draw(st.sampled_from(PRIOR_KINDS))
-        if kind == "pair":
-            return random_shift_prior(rng, name, shape[0])
-        return random_phase_prior(rng, name)
-
-    x = ket()
-    y = unit(x + 10.0 ** -draw(st.floats(0.0, 12.0)) * ket())
-    prior_a = prior()
-    return twirl_pair(kind, x, y, prior_a, prior_a if draw(st.integers(0, 4)) else prior())
+    e = draw(st.floats(0.0, 12.0))
+    prior_kinds = [draw(st.sampled_from(PRIOR_KINDS))]
+    if not draw(st.integers(0, 4)):
+        prior_kinds.append(draw(st.sampled_from(PRIOR_KINDS)))
+    return near_pair(seed, kind, shape, e, prior_kinds)
 
 
+def ket_distance(rho, sigma):
+    """||y - x|| of the two kets; for pair twirls, of the relative-view
+    amplitudes."""
+    if isinstance(rho, PairTwirl):
+        return float(np.linalg.norm(sigma.amplitudes - rho.amplitudes))
+    return float(np.linalg.norm(sigma.psi - rho.psi))
+
+
+# two two-entry kets that a relative 1e-14 bound alone refused: 1.07e-14
+# and 1.36e-14 relative off, an error of 3% and 2% of what a one-ulp change
+# of the kets does to the exact distance
 @settings(max_examples=150, deadline=None)
 @given(pair=near_twirls())
+@example(pair=near_pair(4, "single", (2,), 0.375, ["uniform"]))
+@example(pair=near_pair(6604, "single", (2,), 3.0, ["twopoint"]))
 def test_kernel_matches_mpmath_sum(pair):
     rho, sigma = pair
     want = reference_distance(rho, sigma)
     assume(want >= 1e-12)
-    # measured: within 2.7e-15 relative over 1500 cases
-    assert abs(hs_distance(rho, sigma) - want) <= 1e-14 * want
+    # a relative 1e-14, plus the floor of two roundings of the kernel, each
+    # about eps times its size: forming d = (y - x) + (t - 1) y costs
+    # eps ||y - x||, since |t - 1| ||y|| <= 2 ||y - x||; under a nearly
+    # uniform prior the closing sums cancel terms of size ||y - x||^2 down
+    # to want^2, which costs eps ||y - x||^2 / want in the distance.  Near
+    # kets, ||y - x|| ~ want, make the floor about 4e-16 want.  Measured:
+    # at most 0.26 of this bound over 6000 draws
+    delta = ket_distance(rho, sigma)
+    bound = 1e-14 * want + EPS * (delta + delta**2 / want)
+    assert abs(hs_distance(rho, sigma) - want) <= bound
     assert hs_distance(rho, rho) == 0.0
 
 
@@ -192,7 +229,8 @@ def test_global_phase_is_invisible(seed, kind, prior, phase):
 
 def phase_cases():
     """(rho, sigma): single-mode and two-mode twirls under uniform, vonmises:4
-    and two-point priors, and pair twirls of d = 5 and 31."""
+    and two-point priors, pair twirls of d = 5 and 31, and block twirls of
+    a 2 x 5 and a 5 x 2 grid under uniform and vonmises:4."""
     rng = np.random.default_rng(29)
     cases = []
     for spec in ("uniform", "vonmises:4", "twopoint:0,2"):
@@ -209,6 +247,13 @@ def phase_cases():
         other = amps + 0.1 * rng.standard_normal((d, d))
         prior = shift_prior(spec, d)
         cases.append(twirl_pair("pair", unit(amps), unit(other), prior, shift_prior("vonmises:2", d)))
+    # a 2 x 5 and a 5 x 2 grid: other shapes, but the same n_top, so the
+    # same block labels
+    for spec in ("uniform", "vonmises:4"):
+        wide = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        tall = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        prior = parse_prior(spec)
+        cases.append(twirl_pair("two-mode", unit(wide), unit(tall), prior, prior))
     return cases
 
 
@@ -253,9 +298,10 @@ def test_density_matrix_operand_keeps_the_dense_value():
         assert hs_distance(a, b) == float(np.linalg.norm(a.matrix - b.matrix))
 
 
-def test_different_labels_take_the_dense_path():
-    # a hand-built twirl over other labels of the same size: no common
-    # charges to sum over, so the matrices are compared
+def test_different_labels_are_refused():
+    # a hand-built twirl over other labels of the same size: no public
+    # constructor makes one, and there are no common charges to sum over
     rho = twirl_single_mode(unit(np.arange(1.0, 5.0) + 0j), parse_prior("vonmises:4"))
     other = PhaseTwirl(rho.psi, rho.labels[::-1].copy(), rho.chi, rho.basis)
-    assert hs_distance(rho, other) == float(np.linalg.norm(rho.matrix - other.matrix))
+    message = "^twirled states over different charge labels$"
+    assert_refused(lambda: hs_distance(rho, other), ValueError, message)

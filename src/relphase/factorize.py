@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import _grid, default_cutoff, mean_photon_number
-from .fock import CHUNK_ENTRIES, _abs2, _alignment, _charge_sums, _clamp_unit, _coherent_window
+from .fock import CHUNK_ENTRIES, _abs2, _alignment, _clamp_unit, _coherent_window
 from .fock import _conj_products, _hs_from_sums, check_entries, check_exact
 from .spin import _check_modes, _poisson_window, _wh_window
 
@@ -113,11 +113,11 @@ def _sector_sums(shape, tile_values) -> list:
         for left in range(0, cols, width):
             tile = slice(top, min(top + height, rows)), slice(left, min(left + width, cols))
             values = [value.ravel() for value in tile_values(*tile)]
-            sums = sums or [np.zeros(rows + cols - 1, value.dtype) for value in values]
+            sums = sums or [np.zeros(rows + cols - 1) for _ in values]
             count = values[0].size
             size = labels[count - 1] + 1  # the tile's largest label, plus one
             for total, value in zip(sums, values):
-                total[top + left : top + left + size] += _charge_sums(labels[:count], value, size)
+                total[top + left : top + left + size] += np.bincount(labels[:count], value, size)
     return sums
 
 
@@ -222,11 +222,11 @@ def approx_product_balanced(alpha: complex, phi_r: float, n_max=None) -> np.ndar
     return _normalized(*_product_grid(nhat, collective_phase, z, n_max, n_max))
 
 
-def _uniform_twirled_hs(shape, mass, cross, pair, mass_a=1.0, mass_b=1.0) -> float:
+def _uniform_twirled_hs(shape, mass, real, imag, pair, mass_a=1.0, mass_b=1.0) -> float:
     """The HS distance of the uniform twirls of x / sqrt(mass_a) and
     y / sqrt(mass_b) on a window of the given shape, from the sector sums
-    mass = ||x||^2 and cross = <x, y> of the unnormalized x and y and
-    ``pair(rows, cols)``, their entries (x, y) on a tile.  y is turned
+    mass = ||x||^2 and real + i imag = <x, y> of the unnormalized x and y
+    and ``pair(rows, cols)``, their entries (x, y) on a tile.  y is turned
     towards x sector by sector and scaled to x's norm, by a factor
     r t = 1 + (r t - 1) with r = sqrt(mass_a / mass_b) and t the phase,
     then differenced entry by entry in one walk of the window, so no entry
@@ -234,21 +234,17 @@ def _uniform_twirled_hs(shape, mass, cross, pair, mass_a=1.0, mass_b=1.0) -> flo
     chi = np.ones(1)  # the uniform prior's table: chi(0) = 1, 0 at every other lag
     ratio = math.sqrt(mass_a / mass_b)
     ratio_less_one = (mass_a - mass_b) / (mass_b * (ratio + 1.0))
-    turn = ratio * _alignment(cross, chi, chi) + ratio_less_one
+    turn = ratio * _alignment(real, imag, chi, chi) + ratio_less_one
 
     def difference(rows, cols):
         x, y = pair(rows, cols)
         d = y - x
         d += _by_sector(turn, rows, cols) * y
-        # x^* d as two real arrays, which the bincounts read without the
-        # strided copies that a complex array's parts need, and |d|^2
-        return x.real * d.real + x.imag * d.imag, x.real * d.imag - x.imag * d.real, _abs2(d)
+        return (*_conj_products(x, d), _abs2(d))
 
     real, imag, resid = _sector_sums(shape, difference)
-    lagged = real + 1j * imag
-    lagged /= mass_a
-    resid /= mass_a
-    return _hs_from_sums(mass / mass_a, lagged, resid, chi, chi)
+    scale = 1.0 / mass_a  # x^* d times the reciprocal, as numpy divides a complex array
+    return _hs_from_sums(mass / mass_a, real * scale, imag * scale, resid / mass_a, chi, chi)
 
 
 def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
@@ -275,18 +271,19 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
 
     def sums(rows, cols):
         x, y = pair(rows, cols)
-        return _abs2(x), _conj_products(x, y)
+        return _abs2(x), *_conj_products(x, y)
 
     return _uniform_twirled_hs(a.shape, *_sector_sums(a.shape, sums), pair)
 
 
-def _weighted_overlap(rel: np.ndarray, inv_norm: np.ndarray, mass: float) -> float:
-    """relative_state_overlap from the sector sums rel_N = sum_k x_k w_k^*
-    of a state of squared norm ``mass`` and the factors W_N^{-1/2} of
-    _wh_profile: sum_N |rel_N|^2 / W_N over the mass, clamped into [0, 1]."""
+def _weighted_overlap(real, imag, inv_norm: np.ndarray, mass: float) -> float:
+    """relative_state_overlap from the real and imaginary parts of the
+    sector sums rel_N = sum_k x_k w_k^* of a state of squared norm ``mass``
+    and the factors W_N^{-1/2} of _wh_profile: sum_N |rel_N|^2 / W_N over
+    the mass, clamped into [0, 1]."""
     if mass == 0.0:
         raise ValueError("state has no populated blocks")
-    return _clamp_unit(float(np.sum(_abs2(rel * inv_norm))) / mass)
+    return _clamp_unit(float(np.sum((real * inv_norm) ** 2 + (imag * inv_norm) ** 2)) / mass)
 
 
 def relative_state_overlap(state: np.ndarray, z: complex) -> float:
@@ -300,10 +297,12 @@ def relative_state_overlap(state: np.ndarray, z: complex) -> float:
     state = _grid(state)
     rows, cols = state.shape
     wh, inv_norm = _wh_profile(z, 0, rows - 1, 0, rows + cols - 2)
-    (rel,) = _sector_sums(
-        state.shape, lambda rows, cols: (state[rows, cols] * wh[rows, None].conj(),)
-    )
-    return _weighted_overlap(rel, inv_norm, float(np.sum(_abs2(state))))
+
+    def sums(rows, cols):
+        rel = state[rows, cols] * wh[rows, None].conj()
+        return rel.real, rel.imag
+
+    return _weighted_overlap(*_sector_sums(state.shape, sums), inv_norm, float(np.sum(_abs2(state))))
 
 
 def _retained_mass(mass: float, n1: int, n2: int, state: str) -> float:
@@ -352,10 +351,10 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     s, wh, inv_norm, pb = _product_profiles(nhat, phase / abs(phase), z, n1_max, n2_max, lo1, lo2)
     product_mass = _retained_mass(_fsum(pb), n1_max, n2_max, "product state")
     # rel_N = sum of u_i v_j w_i^* over sector N; the cross sum <x, y> there
-    # is rel_N^* s_N
+    # is rel_N^* s_N, held as its real and imaginary parts
     rel = np.convolve(u * wh.conj(), v)
     cross = _conj_products(rel, s)
-    overlap2 = _fsum(cross.real) ** 2 + _fsum(cross.imag) ** 2
+    overlap2 = sum(_fsum(part) ** 2 for part in cross)
 
     def pair(rows, cols):
         return u[rows, None] * v[cols], _by_sector(s, rows, cols) * wh[rows, None]
@@ -365,9 +364,9 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
         beta=complex(beta),
         pure_fidelity=_clamp_unit(overlap2 / (exact_mass * product_mass)),
         twirled_hs_distance=_uniform_twirled_hs(
-            (u.size, v.size), pa, cross, pair, exact_mass, product_mass
+            (u.size, v.size), pa, *cross, pair, exact_mass, product_mass
         ),
-        relative_state_overlap=_weighted_overlap(rel, inv_norm, exact_mass),
+        relative_state_overlap=_weighted_overlap(rel.real, rel.imag, inv_norm, exact_mass),
         n1_max=n1_max,
         n2_max=n2_max,
         # Python floats: a subnormal alpha_sq gives inf, not a numpy overflow warning

@@ -61,24 +61,17 @@ def check_entries(rows: int, cols: int):
         raise SizeLimitError(f"{size}, above the limit of {MAX_ENTRIES}")
 
 
-def _charge_sums(labels: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The sum of the values at each charge label 0..size-1, added in the
-    order of the entries; complex values are summed as real and imaginary
-    parts."""
-    if np.iscomplexobj(values):
-        return _charge_sums(labels, values.real, size) + 1j * _charge_sums(labels, values.imag, size)
-    return np.bincount(labels, weights=values, minlength=size)
-
-
 def _abs2(x: np.ndarray) -> np.ndarray:
     """|x|^2 entry by entry, as x.real**2 + x.imag**2."""
     return x.real**2 + x.imag**2
 
 
-def _conj_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^* y entry by entry, from real products: y = x gives exactly
-    x.real**2 + x.imag**2 + 0j, which a fused complex multiply does not."""
-    return x.real * y.real + x.imag * y.imag + 1j * (x.real * y.imag - x.imag * y.real)
+def _conj_products(x: np.ndarray, y: np.ndarray) -> tuple:
+    """x^* y entry by entry, as its real and imaginary parts, two real
+    arrays from real products: y = x gives exactly x.real**2 + x.imag**2
+    and 0, which a fused complex multiply does not.  A charge or sector sum
+    of each part is then one bincount of a real array."""
+    return x.real * y.real + x.imag * y.imag, x.real * y.imag - x.imag * y.real
 
 
 def _lag_zero(chi_a: np.ndarray, chi_b: np.ndarray) -> bool:
@@ -88,26 +81,27 @@ def _lag_zero(chi_a: np.ndarray, chi_b: np.ndarray) -> bool:
     return np.count_nonzero(chi_a) == np.count_nonzero(chi_b) == 1
 
 
-def _alignment(cross: np.ndarray, chi_a: np.ndarray, chi_b: np.ndarray) -> np.ndarray:
+def _alignment(real, imag, chi_a, chi_b) -> np.ndarray:
     """Per charge, t - 1 for the phase t = e^{-i arg c} that turns a ket y
-    towards x, from the per-charge sums cross = sum x^* y: the phase of
-    each charge's own c where both twirls vanish off lag 0, else the one
-    phase of the whole sum, which no twirl sees.  The difference of x and
-    the turned y is then d = (y - x) + (t - 1) y, and t - 1 is taken as
-    -2 sin^2(theta/2) - i sin(theta), so that d keeps its relative
-    precision where t is near 1: y t itself rounds off by an ulp of y.
-    t - 1 is 0 where c is 0 or real and positive, as for y = x."""
-    c = cross if _lag_zero(chi_a, chi_b) else np.full_like(cross, cross.sum())
-    theta = np.angle(c)
+    towards x, from the real and imaginary parts of the per-charge sums
+    c = sum x^* y: the phase of each charge's own c where both twirls
+    vanish off lag 0, else the one phase of the whole sum, which no twirl
+    sees.  The difference of x and the turned y is then
+    d = (y - x) + (t - 1) y, and t - 1 is taken as -2 sin^2(theta/2) -
+    i sin(theta), so that d keeps its relative precision where t is near 1:
+    y t itself rounds off by an ulp of y.  t - 1 is 0 where c is 0 or real
+    and positive, as for y = x."""
+    c = real + 1j * imag
+    theta = np.angle(c if _lag_zero(chi_a, chi_b) else np.full_like(c, c.sum()))
     return -2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
 
 
-def _hs_from_sums(mass, lagged, resid, chi_a, chi_b) -> float:
+def _hs_from_sums(mass, real, imag, resid, chi_a, chi_b) -> float:
     """||rho - sigma|| for the twirls rho of a ket x and sigma of a ket y
     over the same charges, with chi tables chi_a and chi_b (chi(m) at
-    ``chi[m + max q]``), from the per-charge sums mass = x^* x,
-    lagged = x^* d and resid = d^* d of the difference d of x and y, y
-    turned towards x first (``_alignment``).
+    ``chi[m + max q]``), from the per-charge real sums mass = x^* x,
+    real + i imag = x^* d and resid = d^* d of the difference d of x and
+    y, y turned towards x first (``_alignment``).
 
     The block of rho - sigma at charges (q, q') with lag m = q - q' is
     a x x'^dag - b (d x'^dag + x d'^dag + d d'^dag), with a = chi_a(m) -
@@ -118,7 +112,7 @@ def _hs_from_sums(mass, lagged, resid, chi_a, chi_b) -> float:
     together.  Where both tables vanish off lag 0 (the uniform prior) only
     lag 0 is evaluated, where a = 0 and b = 1, and each charge gives
     ||x x^dag - y y^dag||^2 = 2 P S + 2 Re R^2 + 4 S Re R + S^2
-    (P, R, S its mass, lagged and resid).  So y = x gives exactly 0, and a
+    (P, R, S its mass, x^* d and resid).  So y = x gives exactly 0, and a
     small distance is read from d, not from the difference of two nearly
     equal states.
     """
@@ -128,11 +122,11 @@ def _hs_from_sums(mass, lagged, resid, chi_a, chi_b) -> float:
         return f * g if lag_zero else np.correlate(f, np.conj(g), "full")
 
     # the |b|^2 terms, real: Re R_q R_q' = Re R_q Re R_q' - Im R_q Im R_q'
-    real, imag = lagged.real, lagged.imag
     total = 2.0 * (lags(mass, resid) + lags(real, real) - lags(imag, imag))
     total += 4.0 * lags(real, resid) + lags(resid, resid)
     if not lag_zero:
         a, b = chi_a - chi_b, chi_b
+        lagged = real + 1j * imag
         cross = lags(mass, lagged.conj()) + lags(lagged, mass) + lags(lagged, lagged.conj())
         total = np.abs(a) ** 2 * lags(mass, mass) + np.abs(b) ** 2 * total
         total -= 2.0 * (np.conj(a) * b * cross).real

@@ -10,6 +10,7 @@ moves x_a by 2X.
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -220,8 +221,8 @@ class PairTwirl:
         x, y = self.amplitudes, other.amplitudes
         mine, chi_b = self.momentum_twirl, other.momentum_twirl.chi
         # one sum over every entry, so its phase is global under any prior
-        cross = np.sum(_conj_products(x, y), keepdims=True)
-        d = _momentum((y - x) + _alignment(cross, mine.chi, chi_b) * y)
+        cross = (np.sum(part, keepdims=True) for part in _conj_products(x, y))
+        d = _momentum((y - x) + _alignment(*cross, mine.chi, chi_b) * y)
         return (*_difference_sums(mine.psi, d, mine.labels, x.shape[0]), mine.chi, chi_b)
 
     @cached_property
@@ -276,8 +277,12 @@ def sum_gate(state: QuditPairState) -> QuditPairState:
 def momentum_eigenstate(d: int, p: int) -> np.ndarray:
     """Fourier vector over one register: amplitude e^{2 pi i p x / d}/sqrt(d).
 
-    Eigenvector of the cyclic shift with a unit-modulus eigenvalue.
+    Eigenvector of the cyclic shift with a unit-modulus eigenvalue.  The
+    momentum p is an integer (numpy's too); anything else raises
+    ValueError, since no other p gives an eigenvector.
     """
     _require_odd(d)
+    if not isinstance(p, Integral):
+        raise ValueError(f"momentum p must be an integer, got {p}")
     x = np.arange(d)
     return np.exp(2j * np.pi * (p % d) * x / d) / np.sqrt(d)

@@ -21,11 +21,12 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
-from .fock import CHUNK_ENTRIES, _abs2, _alignment, _charge_sums, _conj_products, check_entries
+from .fock import CHUNK_ENTRIES, _abs2, _alignment, _conj_products, check_entries
 
 __all__ = [
     "Observable",
@@ -220,13 +221,15 @@ class PhaseTwirl:
     def trace_square(self) -> float:
         """Tr(rho^2) = sum_m |chi(m)|^2 sum_q p_q p_{q+m}, with p_q the mass
         of psi at charge q."""
-        mass = _charge_sums(self.labels, np.abs(self.psi) ** 2, self.chi.size // 2 + 1)
+        mass = np.bincount(self.labels, np.abs(self.psi) ** 2, self.chi.size // 2 + 1)
         return float(np.dot(np.abs(self.chi) ** 2, np.correlate(mass, mass, "full")))
 
     def overlap(self, phi: np.ndarray) -> complex:
         """<phi|rho|phi> = sum_m chi(m) sum_q c_q c_{q-m}^*, with c_q the
         overlap of phi with psi at charge q, sum_{q_i = q} phi_i^* psi_i."""
-        c = _charge_sums(self.labels, phi.conj() * self.psi, self.chi.size // 2 + 1)
+        size = self.chi.size // 2 + 1
+        real, imag = (np.bincount(self.labels, part, size) for part in _conj_products(phi, self.psi))
+        c = real + 1j * imag
         return complex(np.dot(self.chi, np.correlate(c, c, "full")))
 
     def _hs_sums(self, other):
@@ -238,7 +241,8 @@ class PhaseTwirl:
         if not np.array_equal(self.labels, other.labels):
             raise ValueError("twirled states over different charge labels")
         x, y, labels, size = self.psi, other.psi, self.labels, self.chi.size // 2 + 1
-        turn = _alignment(_charge_sums(labels, _conj_products(x, y), size), self.chi, other.chi)
+        cross = (np.bincount(labels, part, size) for part in _conj_products(x, y))
+        turn = _alignment(*cross, self.chi, other.chi)
         d = (y - x) + turn[labels] * y
         return (*_difference_sums(x, d, labels, size), self.chi, other.chi)
 
@@ -267,10 +271,10 @@ class PhaseTwirl:
 
 
 def _difference_sums(x: np.ndarray, d: np.ndarray, labels: np.ndarray, size: int) -> tuple:
-    """The per-charge sums x^* x, x^* d and d^* d over charges 0..size-1."""
-    return tuple(
-        _charge_sums(labels, values, size) for values in (_abs2(x), _conj_products(x, d), _abs2(d))
-    )
+    """The per-charge sums x^* x, x^* d (its real and imaginary parts) and
+    d^* d over charges 0..size-1, each one bincount of a real array."""
+    parts = (_abs2(x), *_conj_products(x, d), _abs2(d))
+    return tuple(np.bincount(labels, part, size) for part in parts)
 
 
 def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwirl:
@@ -404,9 +408,11 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
 
 def coherence_witness(n: int, n_max: int) -> Observable:
     """|n><n+1| + |n+1><n| in the Fock basis: a fixed observable that does
-    not commute with photon number, so its expectation depends on the prior."""
-    if not 0 <= n < n_max:
-        raise ValueError(f"need 0 <= n < n_max, got n={n}, n_max={n_max}")
+    not commute with photon number, so its expectation depends on the prior.
+    n and n_max are integers (numpy's too) with 0 <= n < n_max; anything
+    else raises ValueError."""
+    if not (isinstance(n, Integral) and isinstance(n_max, Integral) and 0 <= n < n_max):
+        raise ValueError(f"need 0 <= n < n_max, both integers, got n={n}, n_max={n_max}")
     return Observable((np.array([n, n + 1]), np.array([n + 1, n])), np.ones(2), n_max + 1, "fock")
 
 

@@ -13,6 +13,7 @@ from relphase import (
     SizeLimitError,
     approx_product,
     approx_product_balanced,
+    coherent_vector,
     default_cutoff,
     embed_wh,
     factorization_fidelity,
@@ -278,19 +279,20 @@ def test_sector_sums_match_bincount_over_full_label_grid(shape, complex_values, 
     values = rng.integers(-(2**20), 2**20, shape).astype(float)
     if complex_values:
         values = values + 1j * rng.integers(-(2**20), 2**20, shape)
+    # a complex array goes in as its real and imaginary parts, two real arrays
+    parts = (values.real, values.imag) if complex_values else (values,)
     labels = np.add.outer(np.arange(shape[0]), np.arange(shape[1])).ravel()
-    want = np.bincount(labels, values.real.ravel())
-    if complex_values:
-        want = want + 1j * np.bincount(labels, values.imag.ravel())
     tiles = []
 
     def tile_values(rows, cols):
         tiles.append(values[rows, cols].size)
-        return (values[rows, cols],)
+        return tuple(part[rows, cols] for part in parts)
 
-    (got,) = _sector_sums(shape, tile_values)
-    assert got.dtype == values.dtype
-    assert np.array_equal(got, want)
+    sums = _sector_sums(shape, tile_values)
+    assert len(sums) == len(parts)
+    for got, part in zip(sums, parts):
+        assert got.dtype == part.dtype
+        assert np.array_equal(got, np.bincount(labels, part.ravel()))
     assert sum(tiles) == values.size
 
 
@@ -588,9 +590,10 @@ class TestInputLimits:
             lambda: to_blocks(np.array([[math.nan, 0.5]] * 2)),
             lambda: relative_state_overlap(np.array([[math.nan, 0.5]] * 2), 1.0),
             lambda: twirl_two_mode(np.array([[math.nan, 0.5]] * 2), UNIFORM),
+            lambda: coherent_vector(math.nan, 3),
         ],
         ids=["cutoff-inf", "cutoff-nan", "target-nan", "alpha-inf", "beta-nan", "balanced-phase",
-             "hs-grid-nan", "blocks-grid-nan", "overlap-grid-nan", "twirl-grid-nan"],
+             "hs-grid-nan", "blocks-grid-nan", "overlap-grid-nan", "twirl-grid-nan", "coherent-nan"],
     )
     def test_non_finite_input_rejected(self, call):
         with pytest.raises(ValueError, match="finite"):
@@ -685,10 +688,13 @@ def window_overlap(state, z, lo1, lo2):
     rows, cols = state.shape
     n_lo = lo1 + lo2
     wh, inv_norm = _wh_profile(z, lo1, lo1 + rows - 1, n_lo, n_lo + rows + cols - 2)
-    (rel,) = _sector_sums(
-        state.shape, lambda rows, cols: (state[rows, cols] * wh[rows, None].conj(),)
-    )
-    return _weighted_overlap(rel, inv_norm, float(np.sum(np.abs(state) ** 2)))
+
+    def sums(rows, cols):
+        rel = state[rows, cols] * wh[rows, None].conj()
+        return rel.real, rel.imag
+
+    mass = float(np.sum(np.abs(state) ** 2))
+    return _weighted_overlap(*_sector_sums(state.shape, sums), inv_norm, mass)
 
 
 def padded(window, lo1, lo2):

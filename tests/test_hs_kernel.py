@@ -17,8 +17,12 @@ from relphase import (
     PriorGrid,
     QuditPairState,
     approx_product_balanced,
+    factorization_fidelity,
+    fidelity_pure_mixed,
     hs_distance,
     parse_prior,
+    purity,
+    relative_state_overlap,
     shift_prior,
     twirl_displacement,
     twirl_single_mode,
@@ -305,3 +309,50 @@ def test_different_labels_are_refused():
     other = PhaseTwirl(rho.psi, rho.labels[::-1].copy(), rho.chi, rho.basis)
     message = "^twirled states over different charge labels$"
     assert_refused(lambda: hs_distance(rho, other), ValueError, message)
+    # and one of another size: no common labels either
+    small = twirl_single_mode(unit(np.arange(1.0, 4.0) + 0j), parse_prior("vonmises:4"))
+    message = r"^dimension mismatch: \(4, 4\) vs \(3, 3\)$"
+    assert_refused(lambda: hs_distance(rho, small), ValueError, message)
+
+
+def test_every_charge_sum_is_a_bincount_of_real_values(monkeypatch):
+    # each complex product is split into two real arrays where it is made,
+    # so no reduction sums a complex array
+    bincount, calls = np.bincount, []
+
+    def real_bincount(labels, weights=None, minlength=0):
+        if np.iscomplexobj(weights):
+            raise AssertionError("np.bincount was given complex weights")
+        calls.append(len(labels))
+        return bincount(labels, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", real_bincount)
+    rng = np.random.default_rng(37)
+    shapes = {"single": (30,), "two-mode": (4, 6), "pair": (5, 5)}
+    for kind, shape in shapes.items():
+        x = unit(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        y = unit(x + 0.1 * rng.standard_normal(shape))
+        if kind == "pair":
+            priors = shift_prior("vonmises:4", 5), shift_prior("uniform", 5)
+        else:
+            priors = parse_prior("vonmises:4"), parse_prior("twopoint:0,2")
+        rho, sigma = twirl_pair(kind, x, y, *priors)
+        ket = rho.psi if kind == "two-mode" else x.ravel()
+        for call in (
+            lambda: purity(rho),
+            lambda: fidelity_pure_mixed(ket, sigma),
+            lambda: hs_distance(rho, sigma),
+        ):
+            calls.clear()
+            assert np.isfinite(call())
+            assert calls, f"{kind}: no charge sum was taken"
+    grid = unit(rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9)))
+    other = unit(grid + 0.1 * rng.standard_normal((5, 9)))
+    for call in (
+        lambda: twirled_hs_distance(grid, other),
+        lambda: relative_state_overlap(grid, 0.5 + 0.5j),
+        lambda: factorization_fidelity(1.0, 3.0).twirled_hs_distance,
+    ):
+        calls.clear()
+        assert np.isfinite(call())
+        assert calls

@@ -91,6 +91,8 @@ class TestStateConstruction:
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             QuditPairState(np.eye(4, dtype=complex) / 2.0)
+        with pytest.raises(ValueError, match="must form a square grid"):
+            QuditPairState(np.full((3, 5), 1 / np.sqrt(15), dtype=complex))
 
     def test_oversize_dimension_rejected(self):
         # a read-only view: the check comes before any entry is read
@@ -586,6 +588,10 @@ class TestMomentumEigenstate:
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             momentum_eigenstate(4, 1)
+        # p = 1.5 gave a unit vector with |<v|S v>| = 0.6, no shift eigenvector
+        with pytest.raises(ValueError, match="^momentum p must be an integer, got 1.5$"):
+            momentum_eigenstate(5, 1.5)
+        assert np.array_equal(momentum_eigenstate(5, np.int64(2)), momentum_eigenstate(5, 2))
 
     def test_oversize_dimension_rejected(self):
         with pytest.raises(SizeLimitError, match="a 2897 x 2897 grid has 8392609 entries"):

@@ -156,6 +156,8 @@ class TestPriorGrid:
             PriorGrid(angles=np.array([1.0, 1.0]), weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="2pi"):
             PriorGrid(angles=np.array([0.0, 7.0]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="nonempty 1-D angle sequence"):
+            PriorGrid(angles=np.array([]), weights=np.array([]))
 
     def test_non_finite_rejected(self):
         for angles, weights in (
@@ -211,6 +213,9 @@ class TestPriorGrid:
             parse_prior("gaussian:1.0")
         with pytest.raises(ValueError, match="two angles"):
             parse_prior("twopoint:1.0")
+        path.write_text("0.1,0.5,0.5\n")
+        with pytest.raises(ValueError, match="prior file row must be 'angle,weight'"):
+            parse_prior(f"grid:{path}")
 
 
 class TestTwirlSingleMode:
@@ -341,6 +346,11 @@ class TestCommutantObservables:
         want = np.zeros((10, 10), dtype=complex)
         want[3, 4] = want[4, 3] = 1.0
         assert np.array_equal(dense(witness), want)
+        assert np.array_equal(dense(coherence_witness(np.int64(3), np.int32(9))), want)
+        # n_max = 1.5 built an Observable of dim 2.5
+        for n, n_max in ((3, 3), (0, 1.5)):
+            with pytest.raises(ValueError, match="need 0 <= n < n_max"):
+                coherence_witness(n, n_max)
 
 
 class TestExpectation:
@@ -976,5 +986,9 @@ class TestSeededDraws:
             random_commutant_observable(4, -1, basis)
         with pytest.raises(TypeError):
             random_commutant_observable(4, 1.5, basis)
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            random_commutant_observable(-1, 0, basis)
+        with pytest.raises(ValueError, match="unknown observable basis 'lattice'"):
+            random_commutant_observable(3, 0, "lattice")
         numpy_seed = random_commutant_observable(4, np.int64(9), basis)
         assert np.array_equal(numpy_seed.values, random_commutant_observable(4, 9, basis).values)

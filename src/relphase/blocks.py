@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SizeLimitError, check_entries, coherent_vector
+from .fock import SizeLimitError, check_count, check_entries, coherent_vector
 
 __all__ = [
     "BlockState",
@@ -154,10 +154,10 @@ def from_blocks(blocks: BlockState, n1_max: int, n2_max: int):
     """Inverse reindexing onto a target (n1, n2) grid.
 
     Returns ``(grid, dropped)`` where ``dropped`` counts nonzero amplitudes
-    that fell outside the target bounds and were discarded.
+    that fell outside the target bounds and were discarded.  A cutoff that
+    is not an integer >= 0 raises ValueError.
     """
-    if min(n1_max, n2_max) < 0:
-        raise ValueError(f"target cutoffs must be >= 0, got ({n1_max}, {n2_max})")
+    n1_max, n2_max = (check_count(n, "target cutoff") for n in (n1_max, n2_max))
     flat = blocks.flatten()
     check_entries(n1_max + 1, n2_max + 1)
     index = block_index((n1_max + 1, n2_max + 1))

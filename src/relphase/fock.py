@@ -53,6 +53,16 @@ def check_exact(n, what: str):
         raise SizeLimitError(f"{what} of 2^53 or more is beyond exact floats")
 
 
+def check_count(value, what: str, low=0) -> int:
+    """value as an int, if it is an integer (numpy's too, but not a float
+    such as 3.0) of at least ``low``; low=None sets no lower bound.
+    Anything else raises a one-line ValueError naming ``what``."""
+    if not isinstance(value, (int, np.integer)) or low is not None and value < low:
+        rule = "an integer" if low is None else f"an integer >= {low}"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def check_entries(rows: int, cols: int):
     """Raise SizeLimitError if a rows x cols array would exceed MAX_ENTRIES,
     before anything of that size is allocated."""
@@ -258,7 +268,8 @@ def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
     Each magnitude is the square root of the Poisson mass at n with mean
     |alpha|^2, taken as exp(log P / 2) from its deviance form; the squared
     norm equals the Poisson CDF at n_max, so truncation can only lose norm.
-    A non-finite alpha raises ValueError.
+    A non-finite alpha, or an n_max that is not an integer >= 0
+    (``check_count``), raises ValueError.
     """
     return _coherent_window(alpha, 0, n_max)
 
@@ -269,8 +280,7 @@ def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
     below it allocated.  An n_max of 2^53 or more, where a float stops
     counting photon numbers exactly, or a window above MAX_ENTRIES raises
     SizeLimitError."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = check_count(n_max, "n_max")
     check_exact(n_max, "a photon-number cutoff")
     if not np.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
@@ -298,6 +308,15 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _real_part(value, what: str, tol: float) -> float:
+    """The real part of a value that is real up to rounding, such as a
+    fidelity, purity or expectation: an imaginary part beyond ``tol``, or a
+    NaN, raises ValueError naming ``what``."""
+    if not abs(value.imag) <= tol:  # NaN fails too
+        raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
+    return float(value.real)
+
+
 def fidelity_pure_mixed(psi: np.ndarray, rho) -> float:
     """<psi|rho|psi> for a normalized vector against a ``DensityMatrix`` or
     a twirled state, as the state computes it."""
@@ -306,18 +325,12 @@ def fidelity_pure_mixed(psi: np.ndarray, rho) -> float:
         raise ValueError("psi must be normalized to 1e-10")
     if rho.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: vector of size {psi.size} vs matrix {rho.shape}")
-    value = rho.overlap(psi)
-    if not abs(value.imag) <= 1e-12:  # NaN fails too
-        raise ValueError(f"fidelity has imaginary residue {value.imag:.3e}")
-    return _clamp_unit(value.real)
+    return _clamp_unit(_real_part(rho.overlap(psi), "fidelity", 1e-12))
 
 
 def purity(rho) -> float:
     """Tr(rho^2) of a trace-normalized state, as the state computes it."""
-    value = complex(rho.trace_square())
-    if not abs(value.imag) <= 1e-12:  # NaN fails too
-        raise ValueError(f"purity has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return _real_part(rho.trace_square(), "purity", 1e-12)
 
 
 def hs_distance(rho, sigma) -> float:

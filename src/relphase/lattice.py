@@ -10,11 +10,10 @@ moves x_a by 2X.
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .fock import DensityMatrix, _alignment, _conj_products, check_entries
+from .fock import DensityMatrix, _alignment, _conj_products, check_count, check_entries
 from .twirl import TWO_PI, PhaseTwirl, PriorGrid, _check_prior_weights, _phase_twirl
 from .twirl import _difference_sums, read_prior_rows, read_prior_spec, von_mises_prior
 
@@ -39,8 +38,9 @@ RELATIVE = "relative"
 
 
 def _require_odd(d: int) -> int:
-    """d itself, if it is an odd lattice dimension >= 3 whose d x d pair
-    grid is within MAX_ENTRIES."""
+    """d as an int, if it is an integer (``check_count``), odd and >= 3,
+    and its d x d pair grid is within MAX_ENTRIES."""
+    d = check_count(d, "lattice dimension", None)
     if d % 2 == 0 or d < 3:
         raise ValueError(f"lattice dimension must be odd and >= 3, got {d}")
     check_entries(d, d)
@@ -125,8 +125,10 @@ def shift_prior(spec: str, d: int) -> np.ndarray:
 
     Numeric parameters are lattice shifts, taken as int(X) mod d; weights of
     equal shifts add.  ``vonmises:<kappa>`` weights exp(kappa cos(2 pi X / d))
-    and ``grid:<path>`` reads ``shift,weight`` rows.
+    and ``grid:<path>`` reads ``shift,weight`` rows.  d is a lattice
+    dimension (``_require_odd``).
     """
+    d = _require_odd(d)
 
     def shifts(*pairs) -> np.ndarray:
         weights = np.zeros(d)
@@ -281,8 +283,7 @@ def momentum_eigenstate(d: int, p: int) -> np.ndarray:
     momentum p is an integer (numpy's too); anything else raises
     ValueError, since no other p gives an eigenvector.
     """
-    _require_odd(d)
-    if not isinstance(p, Integral):
-        raise ValueError(f"momentum p must be an integer, got {p}")
+    d = _require_odd(d)
+    p = check_count(p, "momentum p", None)
     x = np.arange(d)
     return np.exp(2j * np.pi * (p % d) * x / d) / np.sqrt(d)

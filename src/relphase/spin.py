@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _clamp_unit, _deviance, _log_poisson, _stirling_remainder
-from .fock import check_entries, check_exact
+from .fock import check_count, check_entries, check_exact
 
 __all__ = [
     "SpinParams",
@@ -67,11 +67,10 @@ def spin_coherent(big_n: int, xi: complex) -> np.ndarray:
     amplitude(k) = sqrt(binom(N, k)) (1+|xi|^2)^{-N/2} xi^k,
 
     unit norm by the binomial theorem.  Computed in log space.  A
-    non-finite xi raises ValueError; N + 1 above MAX_ENTRIES raises
-    SizeLimitError.
+    non-finite xi, or an N that is not an integer >= 0, raises ValueError;
+    N + 1 above MAX_ENTRIES raises SizeLimitError.
     """
-    if big_n < 0:
-        raise ValueError(f"N must be >= 0, got {big_n}")
+    big_n = check_count(big_n, "N")
     if not np.isfinite(xi):
         raise ValueError(f"spin parameter xi must be finite, got {xi}")
     check_entries(1, big_n + 1)
@@ -168,9 +167,11 @@ def embed_wh(z: complex, big_n: int) -> np.ndarray:
     Built from the rescaled log profile of _log_wh_window, so it stays finite
     and normalized when every raw amplitude up to N underflows (|z| above
     about 27).  For N past |z|^2 + 10|z| + 10 the renormalization factor is 1
-    to well under 1e-10 (Poisson tail).  A non-finite z raises ValueError;
-    N + 1 above MAX_ENTRIES raises SizeLimitError.
+    to well under 1e-10 (Poisson tail).  A non-finite z, or an N that is
+    not an integer >= 0, raises ValueError; N + 1 above MAX_ENTRIES raises
+    SizeLimitError.
     """
+    big_n = check_count(big_n, "N")
     k, log_w = _log_wh_window(z, big_n)
     check_entries(1, big_n + 1)
     amps = np.zeros(big_n + 1, dtype=complex)
@@ -185,11 +186,11 @@ def contraction_overlap(z: complex, big_n: int) -> float:
     WH coherent state when the stereographic parameter shrinks like
     1/sqrt(N).  Both states carry the phase arg(z) k, so the overlap is
     (sum_k |w_k| |s_k|)^2 / sum_k |w_k|^2, summed in log space over the
-    window of _log_wh_window only.  An N of 2^53 or more, where a float
-    stops counting photon numbers exactly, raises SizeLimitError.
+    window of _log_wh_window only.  An N that is not an integer >= 1 raises
+    ValueError; one of 2^53 or more, where a float stops counting photon
+    numbers exactly, raises SizeLimitError.
     """
-    if big_n < 1:
-        raise ValueError(f"N must be >= 1, got {big_n}")
+    big_n = check_count(big_n, "N", 1)
     check_exact(big_n, "a spin size")
     k, log_w = _log_wh_window(z, big_n)
     if z == 0:

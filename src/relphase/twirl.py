@@ -17,16 +17,15 @@ charge reads only same-charge entries, so its expectation is the same under
 every prior, bit for bit.
 """
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
-from .fock import CHUNK_ENTRIES, _abs2, _alignment, _conj_products, check_entries
+from .fock import CHUNK_ENTRIES, _abs2, _alignment, _conj_products, _lag_zero, check_count
+from .fock import _real_part, check_entries
 
 __all__ = [
     "Observable",
@@ -123,7 +122,9 @@ def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION) -> PriorGrid:
     on n_points equally spaced angles.  The exponent is shifted by its
     maximum, so no finite kappa can overflow or underflow every weight.
     The shift is taken in halves, which cannot overflow, and floored where
-    e^{2 x} is 0 anyway; elsewhere 2 x is the shifted exponent exactly."""
+    e^{2 x} is 0 anyway; elsewhere 2 x is the shifted exponent exactly.
+    An n_points that is not an integer >= 1 raises ValueError."""
+    n_points = check_count(n_points, "n_points", 1)
     if not np.isfinite(kappa):
         raise ValueError(f"von Mises kappa must be finite, got {kappa!r}")
     angles = TWO_PI * np.arange(n_points) / n_points
@@ -222,7 +223,7 @@ class PhaseTwirl:
         """Tr(rho^2) = sum_m |chi(m)|^2 sum_q p_q p_{q+m}, with p_q the mass
         of psi at charge q."""
         mass = np.bincount(self.labels, np.abs(self.psi) ** 2, self.chi.size // 2 + 1)
-        return float(np.dot(np.abs(self.chi) ** 2, np.correlate(mass, mass, "full")))
+        return float(_lag_sum(np.abs(self.chi) ** 2, mass, mass))
 
     def overlap(self, phi: np.ndarray) -> complex:
         """<phi|rho|phi> = sum_m chi(m) sum_q c_q c_{q-m}^*, with c_q the
@@ -230,7 +231,7 @@ class PhaseTwirl:
         size = self.chi.size // 2 + 1
         real, imag = (np.bincount(self.labels, part, size) for part in _conj_products(phi, self.psi))
         c = real + 1j * imag
-        return complex(np.dot(self.chi, np.correlate(c, c, "full")))
+        return complex(_lag_sum(self.chi, c, c))
 
     def _hs_sums(self, other):
         """The arguments of ``fock._hs_from_sums`` for this twirl against
@@ -270,6 +271,17 @@ class PhaseTwirl:
         return out
 
 
+def _lag_sum(chi: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """sum_m chi(m) sum_q f_q g_{q-m}^* for per-charge sums f and g of one
+    length, with chi(m) at ``chi[m + max q]``.  Where chi vanishes at every
+    lag but 0 (the uniform prior, ``fock._lag_zero``), only lag 0 is formed:
+    the "valid" correlation of two arrays of one length, O(size) where
+    "full" is O(size^2), and the same float as the centre of "full"."""
+    if _lag_zero(chi, chi):
+        return np.correlate(f, g, "valid")[0]
+    return np.dot(chi, np.correlate(f, g, "full"))
+
+
 def _difference_sums(x: np.ndarray, d: np.ndarray, labels: np.ndarray, size: int) -> tuple:
     """The per-charge sums x^* x, x^* d (its real and imaginary parts) and
     d^* d over charges 0..size-1, each one bincount of a real array."""
@@ -301,8 +313,11 @@ def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwir
 
 def twirl_single_mode(psi: np.ndarray, prior) -> PhaseTwirl:
     """Average U(phi)|psi><psi|U(phi)^dag over the prior, where
-    U(phi)|n> = e^{-i phi n}|n>: the charge label is the photon number n."""
+    U(phi)|n> = e^{-i phi n}|n>: the charge label is the photon number n.
+    A ket that is not 1-D raises ValueError."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"expected a 1-D ket, got shape {psi.shape}")
     return _phase_twirl(psi, np.arange(psi.size), prior, "fock")
 
 
@@ -353,10 +368,7 @@ class _Gaussians:
     would take -s as s)."""
 
     def __init__(self, seed):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        self._source = random.Random(seed)
+        self._source = random.Random(check_count(seed, "seed"))
 
     def __call__(self, count: int) -> np.ndarray:
         """The next ``count`` draws."""
@@ -371,12 +383,11 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
     ``"fock"`` gives a random real diagonal over n = 0..n_max; ``"block"``
     gives independent random Hermitian blocks over k = 0..N for each
     N <= n_max, stored as the (N+1)^2 entries of each block in turn.  Zero
-    coherence between number sectors by construction.  ``seed`` is a
-    nonnegative integer; entries are Gaussian, N(0, 1) on the diagonal and
-    N(0, 1/2) in each part off it.
+    coherence between number sectors by construction.  ``n_max`` and
+    ``seed`` are integers >= 0 (``check_count``); entries are Gaussian,
+    N(0, 1) on the diagonal and N(0, 1/2) in each part off it.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = check_count(n_max, "n_max")
     draw = _Gaussians(seed)
     if basis == "fock":
         check_entries(1, n_max + 1)
@@ -409,10 +420,10 @@ def random_commutant_observable(n_max: int, seed: int, basis: str = "fock") -> O
 def coherence_witness(n: int, n_max: int) -> Observable:
     """|n><n+1| + |n+1><n| in the Fock basis: a fixed observable that does
     not commute with photon number, so its expectation depends on the prior.
-    n and n_max are integers (numpy's too) with 0 <= n < n_max; anything
-    else raises ValueError."""
-    if not (isinstance(n, Integral) and isinstance(n_max, Integral) and 0 <= n < n_max):
-        raise ValueError(f"need 0 <= n < n_max, both integers, got n={n}, n_max={n_max}")
+    n and n_max are integers (numpy's too) with 0 <= n < n_max, so n_max
+    is at least n + 1; anything else raises ValueError."""
+    n = check_count(n, "n")
+    n_max = check_count(n_max, "n_max", n + 1)
     return Observable((np.array([n, n + 1]), np.array([n + 1, n])), np.ones(2), n_max + 1, "fock")
 
 
@@ -434,7 +445,4 @@ def expectation(obs: Observable, rho) -> float:
     for lo in range(0, values.size, CHUNK_ENTRIES):
         piece = slice(lo, lo + CHUNK_ENTRIES)
         np.multiply(values[piece], rho.entries(cols[piece], rows[piece]), out=products[piece])
-    value = complex(np.sum(products))
-    if not abs(value.imag) <= 1e-10:  # NaN fails too
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return _real_part(np.sum(products), "expectation", 1e-10)

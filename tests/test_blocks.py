@@ -214,7 +214,8 @@ class TestFromBlocks:
 
     @pytest.mark.parametrize("target", [(-1, 3), (3, -2)])
     def test_negative_target_rejected(self, target):
-        with pytest.raises(ValueError, match="target cutoffs must be >= 0"):
+        message = f"^target cutoff must be an integer >= 0, got {min(target)}$"
+        with pytest.raises(ValueError, match=message):
             from_blocks(to_blocks(np.eye(3, dtype=complex)), *target)
 
     def test_oversize_target_refused_before_allocation(self):

@@ -649,7 +649,7 @@ class TestSeededContent:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.strip().splitlines() == [
-            "relphase: seed must be a nonnegative integer, got -1"
+            "relphase: seed must be an integer >= 0, got -1"
         ]
 
     def test_negative_seed_unused_by_factorize_sweep(self):

@@ -20,6 +20,7 @@ from relphase import (
     coherent_vector,
     default_cutoff,
     expectation,
+    fidelity_pure_mixed,
     mean_photon_number,
     parse_prior,
     point_prior,
@@ -35,7 +36,7 @@ from relphase import (
     von_mises_prior,
 )
 from relphase.blocks import block_dim, block_offset
-from relphase.fock import CHUNK_ENTRIES
+from relphase.fock import CHUNK_ENTRIES, _clamp_unit, _conj_products
 from relphase.twirl import PhaseTwirl, _Gaussians, _phase_twirl
 
 from conftest import assert_refused, random_state_vector
@@ -347,9 +348,10 @@ class TestCommutantObservables:
         want[3, 4] = want[4, 3] = 1.0
         assert np.array_equal(dense(witness), want)
         assert np.array_equal(dense(coherence_witness(np.int64(3), np.int32(9))), want)
-        # n_max = 1.5 built an Observable of dim 2.5
-        for n, n_max in ((3, 3), (0, 1.5)):
-            with pytest.raises(ValueError, match="need 0 <= n < n_max"):
+        # n_max = 1.5 built an Observable of dim 2.5; n < n_max is n_max >= n + 1
+        for n, n_max, message in ((3, 3, "n_max must be an integer >= 4, got 3"),
+                                  (0, 1.5, "n_max must be an integer >= 1, got 1.5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 coherence_witness(n, n_max)
 
 
@@ -803,6 +805,50 @@ class TestFactoredTwirl:
         assert "matrix" not in vars(rho)
 
 
+def full_lag_reads(rho, phi) -> tuple:
+    """Tr(rho^2) and <phi|rho|phi> of a phase twirl read from the correlation
+    at every lag, weighted by the whole chi table, under every prior: the
+    reads before the uniform prior took lag 0 alone (test-only reference)."""
+    size = rho.chi.size // 2 + 1
+    mass = np.bincount(rho.labels, np.abs(rho.psi) ** 2, size)
+    trace_square = float(np.dot(np.abs(rho.chi) ** 2, np.correlate(mass, mass, "full")))
+    real, imag = (np.bincount(rho.labels, part, size) for part in _conj_products(phi, rho.psi))
+    c = real + 1j * imag
+    return trace_square, complex(np.dot(rho.chi, np.correlate(c, c, "full")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=st.one_of(single_mode_states, two_mode_states), prior=priors_st, seed=st.integers(0, 2**16)
+)
+def test_reads_keep_the_bits_of_every_lag(state, prior, seed):
+    rho = (twirl_single_mode if state.ndim == 1 else twirl_two_mode)(state, prior)
+    for phi in (rho.psi, random_state_vector(np.random.default_rng(seed), rho.psi.size)):
+        trace_square, overlap = full_lag_reads(rho, phi)
+        assert purity(rho) == trace_square
+        assert fidelity_pure_mixed(phi, rho) == _clamp_unit(overlap.real)
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, 2001, 20001])
+def test_uniform_reads_take_lag_zero_alone(size):
+    # the same bits as every lag, with no O(size^2) correlation
+    rng = np.random.default_rng(size)
+    rho = twirl_single_mode(random_state_vector(rng, size), UNIFORM)
+    phi = random_state_vector(rng, size)
+    trace_square, overlap = full_lag_reads(rho, phi)
+    modes = []
+    correlate = np.correlate
+
+    def spy(a, v, mode):
+        modes.append(mode)
+        return correlate(a, v, mode)
+
+    with mock.patch.object(np, "correlate", spy):
+        assert purity(rho) == trace_square
+        assert fidelity_pure_mixed(phi, rho) == _clamp_unit(overlap.real)
+    assert modes == ["valid", "valid"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(prior=priors_st, span=st.one_of(st.integers(0, 64), st.integers(65, 2895)))
 def test_chi_half_table_matches_full_table(prior, span):
@@ -982,11 +1028,11 @@ class TestSeededDraws:
 
     @pytest.mark.parametrize("basis", ["fock", "block"])
     def test_seed_contract(self, basis):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
             random_commutant_observable(4, -1, basis)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got 1.5$"):
             random_commutant_observable(4, 1.5, basis)
-        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
             random_commutant_observable(-1, 0, basis)
         with pytest.raises(ValueError, match="unknown observable basis 'lattice'"):
             random_commutant_observable(3, 0, "lattice")

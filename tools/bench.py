@@ -112,6 +112,17 @@ psi = rng.standard_normal({n} + 1) + 1j * rng.standard_normal({n} + 1)
 psi = psi / np.linalg.norm(psi)
 """ + VON_MISES
 
+# a seeded single-mode ket of n entries under the uniform prior, whose
+# purity and fidelity read lag 0 alone
+UNIFORM_KET = """\
+import numpy as np
+from relphase import UNIFORM, fidelity_pure_mixed, purity, twirl_single_mode
+rng = np.random.default_rng(0)
+psi = rng.standard_normal({n}) + 1j * rng.standard_normal({n})
+psi = psi / np.linalg.norm(psi)
+rho = twirl_single_mode(psi, UNIFORM)
+"""
+
 # the balanced |alpha| = 4 grid of the benchmark's balanced case (67 x 67)
 BALANCED = """\
 import numpy as np
@@ -224,6 +235,13 @@ CASES = [
         "n = 2000, seeded ket",
         SINGLE_MODE.format(n=2000),
         "twirl_single_mode(psi, prior).matrix",
+    ),
+    *(
+        call(f"{read}(twirl_single_mode(...)), uniform", f"n = {n}, seeded ket",
+             UNIFORM_KET.format(n=n), timed)
+        for n in (50001, 200001)
+        for read, timed in (("purity", "purity(rho)"),
+                            ("fidelity_pure_mixed", "fidelity_pure_mixed(psi, rho)"))
     ),
     *(
         call(kernel, size, setup, timed)

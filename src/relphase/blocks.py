@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SizeLimitError, check_count, check_entries, coherent_vector
+from .fock import SizeLimitError, check_count, check_entries, check_finite, coherent_vector
 
 __all__ = [
     "BlockState",
@@ -33,13 +33,17 @@ def default_cutoff(mag: float) -> int:
     desk scale.  A non-finite magnitude raises ValueError; one whose cutoff
     overflows a float raises SizeLimitError.
     """
-    mag = float(abs(mag))
-    if not math.isfinite(mag):
-        raise ValueError(f"magnitude must be finite, got {mag!r}")
+    mag = check_finite(float(abs(mag)), "magnitude")
     cutoff = mag * mag + 10.0 * mag + 10.0
     if not math.isfinite(cutoff):
         raise SizeLimitError(f"the cutoff for magnitude {mag!r} overflows a float")
     return math.ceil(cutoff)
+
+
+def cutoff_or_default(n_max, mag: float, what: str) -> int:
+    """The photon-number cutoff n_max under the integer rule, named ``what``
+    (``check_count``), or default_cutoff(mag) where n_max is None."""
+    return default_cutoff(mag) if n_max is None else check_count(n_max, what)
 
 
 def mean_photon_number(alpha: complex, beta: complex) -> float:
@@ -53,6 +57,7 @@ def two_mode_coherent(alpha: complex, beta: complex, n1_max: int, n2_max: int) -
     amplitude(n1, n2) = e^{-(|alpha|^2+|beta|^2)/2} alpha^n1 beta^n2 / sqrt(n1! n2!).
     At |alpha| = 1 the full grid reaches MAX_ENTRIES near |beta| = 620.
     """
+    n1_max, n2_max = check_count(n1_max, "n1_max"), check_count(n2_max, "n2_max")
     check_entries(n1_max + 1, n2_max + 1)
     return np.outer(coherent_vector(alpha, n1_max), coherent_vector(beta, n2_max))
 
@@ -108,9 +113,7 @@ def _grid(state) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.ndim != 2 or state.size == 0:
         raise ValueError(f"expected a nonempty 2-D amplitude grid, got shape {state.shape}")
-    if not np.isfinite(state).all():
-        raise ValueError("grid entries must be finite, got nan or inf")
-    return state
+    return check_finite(state, "grid entries")
 
 
 def _block_ket(state: np.ndarray) -> tuple:

@@ -23,9 +23,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .blocks import default_cutoff
+from .blocks import cutoff_or_default
 from .factorize import InsufficientCutoffError, sweep_fidelity
-from .fock import SizeLimitError, coherent_vector, purity
+from .fock import SizeLimitError, check_finite, coherent_vector, purity
 from .lattice import QuditPairState, _require_odd, reduced_relative, relative_pair, shift_prior
 from .lattice import sum_gate, twirl_displacement
 from .spin import contraction_overlap
@@ -78,27 +78,21 @@ def _list(text: str, kind, what: str) -> list:
         raise ValueError(f"expected a comma-separated list of {what}, got {text!r}")
 
 
-def _finite(flag: str, value: float) -> float:
-    if not np.isfinite(value):
-        raise ValueError(f"{flag} must be finite, got {value!r}")
-    return value
-
-
 def _magnitude(flag: str, value: float) -> float:
-    if _finite(flag, value) < 0:
+    if check_finite(value, flag) < 0:
         raise ValueError(f"{flag} must be nonnegative, got {value!r}")
     return value
 
 
 def _complex(flag: str, mag: float, phase: float) -> complex:
-    return _magnitude(flag, mag) * np.exp(1j * _finite(flag + "-phase", phase))
+    return _magnitude(flag, mag) * np.exp(1j * check_finite(phase, flag + "-phase"))
 
 
 def cmd_factorize_sweep(args) -> None:
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
     mags = _list(args.beta_list, float, "numbers")
     beta_mags = [_magnitude("--beta-list entry", mag) for mag in mags]
-    _finite("--beta-phase", args.beta_phase)
+    check_finite(args.beta_phase, "--beta-phase")
     reports = sweep_fidelity(
         alpha, beta_mags, phi_beta=args.beta_phase, n1_max=args.n1_max, n2_max=args.n2_max
     )
@@ -139,7 +133,7 @@ def cmd_twirl_demo(args) -> None:
     if args.n_observables < 0:
         raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
-    n_max = args.n_max if args.n_max is not None else default_cutoff(abs(alpha))
+    n_max = cutoff_or_default(args.n_max, abs(alpha), "--n-max")
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
     n_rows = len(args.priors) * (args.n_observables + 1)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _grid, default_cutoff, mean_photon_number
+from .blocks import _grid, cutoff_or_default, mean_photon_number
 from .fock import CHUNK_ENTRIES, _abs2, _alignment, _clamp_unit, _coherent_window
-from .fock import _conj_products, _hs_from_sums, check_entries, check_exact
+from .fock import _conj_products, _hs_from_sums, check_entries, check_exact, check_finite
 from .spin import _check_modes, _poisson_window, _wh_window
 
 __all__ = [
@@ -187,11 +187,13 @@ def approx_product(alpha: complex, beta: complex, n1_max=None, n2_max=None) -> n
 
     Every block's difference profile is the truncated WH coherent state of
     amplitude relative_target(alpha, beta), independent of N; the state is
-    renormalized globally after truncation, not block by block.
+    renormalized globally after truncation, not block by block.  A cutoff
+    of None is default_cutoff of its mode's magnitude; any other must be an
+    integer >= 0 (``check_count``), as in factorization_fidelity.
     """
     z = relative_target(alpha, beta)
-    n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
-    n2_max = default_cutoff(abs(beta)) if n2_max is None else n2_max
+    n1_max = cutoff_or_default(n1_max, abs(alpha), "n1_max")
+    n2_max = cutoff_or_default(n2_max, abs(beta), "n2_max")
     nhat, phase = mean_photon_number(alpha, beta), _normal(beta)
     return _normalized(*_product_grid(nhat, phase / abs(phase), z, n1_max, n2_max))
 
@@ -211,12 +213,11 @@ def approx_product_balanced(alpha: complex, phi_r: float, n_max=None) -> np.ndar
     A non-finite alpha or phi_r raises ValueError, and a mean photon number
     2|alpha|^2 of 2^53 or more SizeLimitError, before any numpy arithmetic.
     """
-    if not (np.isfinite(alpha) and np.isfinite(phi_r)):
-        raise ValueError(f"alpha and phi_r must be finite, got alpha={alpha}, phi_r={phi_r}")
-    mag = float(abs(alpha))
+    mag = float(abs(check_finite(alpha, "alpha")))
+    check_finite(phi_r, "phi_r")
     nhat = 2.0 * mag * mag
     check_exact(nhat, "a mean photon number")
-    n_max = default_cutoff(mag) if n_max is None else n_max
+    n_max = cutoff_or_default(n_max, mag, "n_max")
     z = math.sqrt(2) * mag * np.exp(1j * phi_r)
     collective_phase = np.exp(1j * (np.angle(alpha) - phi_r))
     return _normalized(*_product_grid(nhat, collective_phase, z, n_max, n_max))
@@ -326,8 +327,8 @@ def factorization_fidelity(alpha: complex, beta: complex, n1_max=None, n2_max=No
     generating its entries a tile at a time.
     """
     z = relative_target(alpha, beta)
-    n1_max = default_cutoff(abs(alpha)) if n1_max is None else n1_max
-    n2_max = default_cutoff(abs(beta)) if n2_max is None else n2_max
+    n1_max = cutoff_or_default(n1_max, abs(alpha), "n1_max")
+    n2_max = cutoff_or_default(n2_max, abs(beta), "n2_max")
     # Each axis starts at its window edge, 10 standard deviations below the
     # mean.  The rows of both windows spread like the first mode, |alpha|.
     # The columns n2 = N - n1 of the product window spread wider than the

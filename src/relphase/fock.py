@@ -56,11 +56,23 @@ def check_exact(n, what: str):
 def check_count(value, what: str, low=0) -> int:
     """value as an int, if it is an integer (numpy's too, but not a float
     such as 3.0) of at least ``low``; low=None sets no lower bound.
-    Anything else raises a one-line ValueError naming ``what``."""
-    if not isinstance(value, (int, np.integer)) or low is not None and value < low:
+    Anything else, a bool included, raises a one-line ValueError naming
+    ``what``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or low is not None and value < low:
         rule = "an integer" if low is None else f"an integer >= {low}"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
     return int(value)
+
+
+def check_finite(value, what: str):
+    """value, if it is finite (every entry of it, for an array).  Anything
+    else raises a one-line ValueError naming ``what``; an array is quoted
+    as "nan or inf"."""
+    if not np.isfinite(value).all():
+        got = "nan or inf" if np.ndim(value) else value
+        raise ValueError(f"{what} must be finite, got {got}")
+    return value
 
 
 def check_entries(rows: int, cols: int):
@@ -282,8 +294,7 @@ def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
     SizeLimitError."""
     n_max = check_count(n_max, "n_max")
     check_exact(n_max, "a photon-number cutoff")
-    if not np.isfinite(alpha):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    check_finite(alpha, "coherent amplitude")
     check_entries(1, n_max - n_min + 1)
     n = np.arange(n_min, n_max + 1)
     if alpha == 0:
@@ -292,12 +303,13 @@ def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian inner product <u|v>, conjugate-linear in the first slot."""
+    """Hermitian inner product <u|v>, conjugate-linear in the first slot; a
+    non-finite result raises ValueError."""
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
+    return check_finite(complex(np.vdot(u, v)), "inner product")
 
 
 def _clamp_unit(value: float) -> float:
@@ -310,11 +322,12 @@ def _clamp_unit(value: float) -> float:
 
 def _real_part(value, what: str, tol: float) -> float:
     """The real part of a value that is real up to rounding, such as a
-    fidelity, purity or expectation: an imaginary part beyond ``tol``, or a
-    NaN, raises ValueError naming ``what``."""
+    fidelity, purity or expectation: an imaginary part beyond ``tol``, a
+    NaN one included, or a real part that is not finite raises ValueError
+    naming ``what``."""
     if not abs(value.imag) <= tol:  # NaN fails too
         raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return float(check_finite(value.real, what))
 
 
 def fidelity_pure_mixed(psi: np.ndarray, rho) -> float:
@@ -348,6 +361,5 @@ def hs_distance(rho, sigma) -> float:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     if type(rho) is type(sigma) is not DensityMatrix:
         return _hs_from_sums(*rho._hs_sums(sigma))
-    if not (np.isfinite(rho.matrix).all() and np.isfinite(sigma.matrix).all()):
-        raise ValueError("density matrix entries must be finite, got nan or inf")
-    return float(np.linalg.norm(rho.matrix - sigma.matrix))
+    a, b = (check_finite(state.matrix, "density matrix entries") for state in (rho, sigma))
+    return float(np.linalg.norm(a - b))

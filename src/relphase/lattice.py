@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import DensityMatrix, _alignment, _conj_products, check_count, check_entries
+from .fock import DensityMatrix, _alignment, _conj_products, check_count, check_entries, check_finite
 from .twirl import TWO_PI, PhaseTwirl, PriorGrid, _check_prior_weights, _phase_twirl
 from .twirl import _difference_sums, read_prior_rows, read_prior_spec, von_mises_prior
 
@@ -110,9 +110,10 @@ def from_relative_basis(state: QuditPairState) -> QuditPairState:
 def displace(state: QuditPairState, shift: int) -> QuditPairState:
     """Shift both registers by X: |x1, x2> -> |x1+X, x2+X> mod d.
 
-    In the relative view x_r is untouched and x_a moves by 2X.
+    In the relative view x_r is untouched and x_a moves by 2X.  X is any
+    integer (``check_count``); anything else raises ValueError.
     """
-    shift = int(shift) % state.d
+    shift = check_count(shift, "lattice shift", None) % state.d
     if state.view == PRODUCT:
         moved = np.roll(state.amplitudes, (shift, shift), axis=(0, 1))
     else:
@@ -133,9 +134,7 @@ def shift_prior(spec: str, d: int) -> np.ndarray:
     def shifts(*pairs) -> np.ndarray:
         weights = np.zeros(d)
         for shift, weight in pairs:
-            if not np.isfinite(shift):
-                raise ValueError(f"lattice shift must be finite, got {shift!r}")
-            weights[int(shift) % d] += weight
+            weights[int(check_finite(shift, "lattice shift")) % d] += weight
         return weights
 
     return read_prior_spec(

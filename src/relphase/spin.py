@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _clamp_unit, _deviance, _log_poisson, _stirling_remainder
-from .fock import check_count, check_entries, check_exact
+from .fock import check_count, check_entries, check_exact, check_finite
 
 __all__ = [
     "SpinParams",
@@ -41,9 +41,8 @@ class SpinParams:
 def _check_modes(alpha: complex, beta: complex):
     """Raise ValueError unless the mode amplitudes are finite and beta != 0,
     so that their relative phase is defined."""
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise ValueError(f"mode amplitudes must be finite, got alpha={alpha}, beta={beta}")
-    if beta == 0:
+    check_finite(alpha, "alpha")
+    if check_finite(beta, "beta") == 0:
         raise ValueError("relative phase is undefined for beta = 0")
 
 
@@ -71,8 +70,7 @@ def spin_coherent(big_n: int, xi: complex) -> np.ndarray:
     N + 1 above MAX_ENTRIES raises SizeLimitError.
     """
     big_n = check_count(big_n, "N")
-    if not np.isfinite(xi):
-        raise ValueError(f"spin parameter xi must be finite, got {xi}")
+    check_finite(xi, "spin parameter xi")
     check_entries(1, big_n + 1)
     if xi == 0 or big_n == 0:
         amps = np.zeros(big_n + 1, dtype=complex)
@@ -123,9 +121,7 @@ def _wh_window(z: complex, big_n: int) -> np.ndarray:
     non-finite z raises ValueError; a window above MAX_ENTRIES raises
     SizeLimitError.
     """
-    if not np.isfinite(z):
-        raise ValueError(f"coherent amplitude must be finite, got {z}")
-    if z == 0:
+    if check_finite(z, "coherent amplitude") == 0:
         return np.zeros(1, dtype=int)
     # Outside the window every amplitude, rescaled by the top, is below e^-745.
     # With mu = |z|^2 the squared profile is a Poisson law, whose log falls by

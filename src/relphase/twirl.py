@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
 from .fock import CHUNK_ENTRIES, _abs2, _alignment, _conj_products, _lag_zero, check_count
-from .fock import _real_part, check_entries
+from .fock import _real_part, check_entries, check_finite
 
 __all__ = [
     "Observable",
@@ -77,8 +77,7 @@ class PriorGrid:
         if angles.ndim != 1 or angles.size == 0:
             raise ValueError("prior needs a nonempty 1-D angle sequence")
         object.__setattr__(self, "weights", _check_prior_weights(self.weights, "prior", angles.size))
-        if not np.all(np.isfinite(angles)):
-            raise ValueError("prior angles must be finite")
+        check_finite(angles, "prior angles")
         if angles[0] < 0 or angles[-1] >= TWO_PI:
             raise ValueError("prior angles must lie in [0, 2pi)")
         if angles.size > 1 and np.any(np.diff(angles) <= 0):
@@ -91,9 +90,7 @@ def _check_prior_weights(weights, label: str, size: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (size,):
         raise ValueError(f"{label} must have {size} weights, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError(f"{label} weights must be finite")
-    if np.any(weights < 0):
+    if np.any(check_finite(weights, f"{label} weights") < 0):
         raise ValueError(f"{label} weights must be nonnegative")
     if not abs(weights.sum() - 1.0) <= 1e-12:
         raise ValueError(f"{label} weights must sum to 1, got {float(weights.sum())}")
@@ -125,8 +122,7 @@ def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION) -> PriorGrid:
     e^{2 x} is 0 anyway; elsewhere 2 x is the shifted exponent exactly.
     An n_points that is not an integer >= 1 raises ValueError."""
     n_points = check_count(n_points, "n_points", 1)
-    if not np.isfinite(kappa):
-        raise ValueError(f"von Mises kappa must be finite, got {kappa!r}")
+    check_finite(kappa, "von Mises kappa")
     angles = TWO_PI * np.arange(n_points) / n_points
     half = 0.5 * kappa * np.cos(angles)
     weights = np.exp(2.0 * np.maximum(half - half.max(), -1000.0))
@@ -336,9 +332,10 @@ class Observable:
     nonzero entries: ``values[i]`` sits at row ``index[0][i]``, column
     ``index[1][i]`` (the ``(rows, cols)`` form of ``np.nonzero``), in the
     index convention ``basis``.  The indices must be two 1-D integer
-    sequences of the length of ``values``, in [0, dim), and the values
-    finite; anything else raises ValueError.  Both are stored as the
-    arrays that were checked, ``index`` as a tuple of two."""
+    sequences of the length of ``values``, in [0, dim) for an integer
+    dim >= 1, and the values finite; anything else raises ValueError.
+    Both are stored as the arrays that were checked, ``index`` as a tuple
+    of two, and ``dim`` as an int."""
 
     index: tuple
     values: np.ndarray
@@ -353,11 +350,10 @@ class Observable:
         ):
             raise ValueError("observable needs two 1-D integer index sequences matching its values")
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", check_finite(values, "observable values"))
+        object.__setattr__(self, "dim", check_count(self.dim, "observable dim", 1))
         if values.size and not 0 <= min(map(np.min, index)) <= max(map(np.max, index)) < self.dim:
             raise ValueError(f"observable indices must lie in [0, {self.dim})")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observable values must be finite")
 
 
 class _Gaussians:

@@ -1,6 +1,9 @@
 import importlib
+import pathlib
 
 import relphase
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = ["blocks", "cli", "factorize", "fock", "lattice", "spin", "twirl"]
 
@@ -38,3 +41,16 @@ def test_every_exported_name_resolves_to_its_module_object():
 def test_earlier_names_still_resolve():
     missing = [name for name in EARLIER_NAMES if not hasattr(relphase, name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs(capsys):
+    """The "Library quick start" block of README.md runs as written and
+    prints what its comments say."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    overlap, fidelities, window = capsys.readouterr().out.splitlines()
+    assert abs(float(overlap) - 1.0) < 1e-12  # "~1.0"
+    assert 0.99 < float(fidelities.split()[0]) <= 1.0
+    lo1, lo2, *masses = window.split()
+    assert (int(lo1), int(lo2)) == (0, 85)
+    assert all(abs(float(mass) - 1.0) < 1e-8 for mass in masses)

@@ -47,8 +47,8 @@ def cutoff_or_default(n_max, mag: float, what: str) -> int:
 
 
 def mean_photon_number(alpha: complex, beta: complex) -> float:
-    """<N> = |alpha|^2 + |beta|^2."""
-    return abs(alpha) ** 2 + abs(beta) ** 2
+    """<N> = |alpha|^2 + |beta|^2; a non-finite amplitude raises ValueError."""
+    return abs(check_finite(alpha, "alpha")) ** 2 + abs(check_finite(beta, "beta")) ** 2
 
 
 def two_mode_coherent(alpha: complex, beta: complex, n1_max: int, n2_max: int) -> np.ndarray:
@@ -63,21 +63,26 @@ def two_mode_coherent(alpha: complex, beta: complex, n1_max: int, n2_max: int) -
 
 
 def block_offset(big_n: int) -> int:
-    """Flat index of (N, k=0) when blocks are concatenated in N order."""
+    """Flat index of (N, k=0) when blocks are concatenated in N order, for
+    an integer N >= 0 (``check_count``)."""
+    big_n = check_count(big_n, "N")
     return big_n * (big_n + 1) // 2
 
 
 def block_dim(n_top: int) -> int:
-    """Total flattened dimension of blocks N = 0..n_top."""
-    return (n_top + 1) * (n_top + 2) // 2
+    """Total flattened dimension of blocks N = 0..n_top, the offset of block
+    n_top + 1, for an integer n_top >= 0 (``check_count``)."""
+    return block_offset(check_count(n_top, "n_top") + 1)
 
 
 def block_index(shape) -> np.ndarray:
     """Flat block index block_offset(N) + n1 of every entry of an (n1, n2)
     grid of the given shape, with blocks concatenated in N order: N = n1 + n2
-    is the total photon number that sorts entries into blocks."""
-    n1 = np.arange(shape[0])
-    return block_offset(np.add.outer(n1, np.arange(shape[1]))) + n1[:, None]
+    is the total photon number that sorts entries into blocks.  The shape
+    is two integers >= 0 (``check_count``)."""
+    n1, n2 = (np.arange(check_count(size, "grid size")) for size in shape)
+    big_n = np.add.outer(n1, n2)
+    return big_n * (big_n + 1) // 2 + n1[:, None]
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ def to_blocks(state: np.ndarray) -> BlockState:
     flat, n_top = _block_ket(state)
     weights = np.zeros(n_top + 1, dtype=complex)
     vectors = []
-    for big_n, raw in enumerate(np.split(flat, block_offset(np.arange(1, n_top + 1)))):
+    for big_n, raw in enumerate(np.split(flat, np.cumsum(np.arange(1, n_top + 1)))):
         mag = np.linalg.norm(raw)
         if mag == 0.0:
             vectors.append(raw)
@@ -158,10 +163,11 @@ def from_blocks(blocks: BlockState, n1_max: int, n2_max: int):
 
     Returns ``(grid, dropped)`` where ``dropped`` counts nonzero amplitudes
     that fell outside the target bounds and were discarded.  A cutoff that
-    is not an integer >= 0 raises ValueError.
+    is not an integer >= 0, or a non-finite block amplitude, raises
+    ValueError.
     """
     n1_max, n2_max = (check_count(n, "target cutoff") for n in (n1_max, n2_max))
-    flat = blocks.flatten()
+    flat = check_finite(blocks.flatten(), "block amplitudes")
     check_entries(n1_max + 1, n2_max + 1)
     index = block_index((n1_max + 1, n2_max + 1))
     inside = index < flat.size  # entries with N above the blocks' n_max stay zero

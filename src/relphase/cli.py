@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import cutoff_or_default
 from .factorize import InsufficientCutoffError, sweep_fidelity
-from .fock import SizeLimitError, check_finite, coherent_vector, purity
+from .fock import SizeLimitError, check_count, check_finite, coherent_vector, purity
 from .lattice import QuditPairState, _require_odd, reduced_relative, relative_pair, shift_prior
 from .lattice import sum_gate, twirl_displacement
 from .spin import contraction_overlap
@@ -130,12 +130,9 @@ def cmd_contract_overlap(args) -> None:
 
 
 def cmd_twirl_demo(args) -> None:
-    if args.n_observables < 0:
-        raise ValueError(f"--n-observables must be >= 0, got {args.n_observables}")
+    check_count(args.n_observables, "--n-observables")
     alpha = _complex("--alpha", args.alpha, args.alpha_phase)
-    n_max = cutoff_or_default(args.n_max, abs(alpha), "--n-max")
-    if n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {n_max}")
+    n_max = check_count(cutoff_or_default(args.n_max, abs(alpha), "--n-max"), "--n-max", 1)
     n_rows = len(args.priors) * (args.n_observables + 1)
     if n_rows > MAX_TWIRL_ROWS:
         raise SizeLimitError(
@@ -163,7 +160,7 @@ def cmd_twirl_demo(args) -> None:
             rows.append(
                 {"prior": spec, "observable": name, "expectation": float(expectation(obs, rho))}
             )
-    _emit(args, rows, n_max=int(n_max))
+    _emit(args, rows, n_max=n_max)
 
 
 def _random_units(draw, d: int, count: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .blocks import _grid, cutoff_or_default, mean_photon_number
 from .fock import CHUNK_ENTRIES, _abs2, _alignment, _clamp_unit, _coherent_window
 from .fock import _conj_products, _hs_from_sums, check_entries, check_exact, check_finite
+from .fock import check_match, check_normalized
 from .spin import _check_modes, _poisson_window, _wh_window
 
 __all__ = [
@@ -260,12 +261,13 @@ def twirled_hs_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     ||d||^2 (``fock._hs_from_sums``), so nearly identical blocks do not
     cancel catastrophically and identical ones give exactly 0.  Only the
     relative sector label matters, so the grids may be any common window of
-    the (n1, n2) plane.  A non-finite entry in either grid raises
-    ValueError.
+    the (n1, n2) plane.  A non-finite entry in either grid, or a grid not
+    normalized to 1e-10, raises ValueError.
     """
     a, b = _grid(state_a), _grid(state_b)
-    if a.shape != b.shape:
-        raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
+    check_match("grid shape", a.shape, b.shape)
+    check_normalized(a, "state_a", 1e-10)
+    check_normalized(b, "state_b", 1e-10)
 
     def pair(rows, cols):
         return a[rows, cols], b[rows, cols]

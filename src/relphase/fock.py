@@ -75,6 +75,22 @@ def check_finite(value, what: str):
     return value
 
 
+def check_match(what: str, a, b):
+    """Raise a one-line ValueError naming ``what`` unless a == b: the shape,
+    basis or view of one operand against what the other, or the call,
+    needs."""
+    if a != b:
+        raise ValueError(f"{what} mismatch: {a!r} vs {b!r}")
+
+
+def check_normalized(psi, what: str, tol: float):
+    """psi, if its norm is 1 within ``tol``.  Anything else, a NaN norm
+    included, raises a one-line ValueError naming ``what``."""
+    if not abs(np.linalg.norm(psi) - 1.0) <= tol:  # NaN fails too
+        raise ValueError(f"{what} must be normalized to {tol:g}")
+    return psi
+
+
 def check_entries(rows: int, cols: int):
     """Raise SizeLimitError if a rows x cols array would exceed MAX_ENTRIES,
     before anything of that size is allocated."""
@@ -305,10 +321,8 @@ def _coherent_window(alpha: complex, n_min: int, n_max: int) -> np.ndarray:
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Hermitian inner product <u|v>, conjugate-linear in the first slot; a
     non-finite result raises ValueError."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    u, v = np.asarray(u), np.asarray(v)
+    check_match("dimension", u.shape, v.shape)
     return check_finite(complex(np.vdot(u, v)), "inner product")
 
 
@@ -333,11 +347,8 @@ def _real_part(value, what: str, tol: float) -> float:
 def fidelity_pure_mixed(psi: np.ndarray, rho) -> float:
     """<psi|rho|psi> for a normalized vector against a ``DensityMatrix`` or
     a twirled state, as the state computes it."""
-    psi = np.asarray(psi, dtype=complex)
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
-        raise ValueError("psi must be normalized to 1e-10")
-    if rho.shape != (psi.size, psi.size):
-        raise ValueError(f"dimension mismatch: vector of size {psi.size} vs matrix {rho.shape}")
+    psi = check_normalized(np.asarray(psi, dtype=complex), "psi", 1e-10)
+    check_match("dimension", (psi.size, psi.size), rho.shape)
     return _clamp_unit(_real_part(rho.overlap(psi), "fidelity", 1e-12))
 
 
@@ -355,10 +366,8 @@ def hs_distance(rho, sigma) -> float:
     ``DensityMatrix`` operand is compared entry by entry with the other
     state's dense matrix, and a non-finite entry in either raises
     ValueError.  A twirled state's ket is finite by construction."""
-    if rho.basis != sigma.basis:
-        raise ValueError(f"basis mismatch: {rho.basis!r} vs {sigma.basis!r}")
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    check_match("basis", rho.basis, sigma.basis)
+    check_match("dimension", rho.shape, sigma.shape)
     if type(rho) is type(sigma) is not DensityMatrix:
         return _hs_from_sums(*rho._hs_sums(sigma))
     a, b = (check_finite(state.matrix, "density matrix entries") for state in (rho, sigma))

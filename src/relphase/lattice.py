@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock import DensityMatrix, _alignment, _conj_products, check_count, check_entries, check_finite
+from .fock import check_match, check_normalized
 from .twirl import TWO_PI, PhaseTwirl, PriorGrid, _check_prior_weights, _phase_twirl
 from .twirl import _difference_sums, read_prior_rows, read_prior_spec, von_mises_prior
 
@@ -63,8 +64,7 @@ class QuditPairState:
         _require_odd(amps.shape[0])
         if self.view not in (PRODUCT, RELATIVE):
             raise ValueError(f"unknown view {self.view!r}")
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
-            raise ValueError("pair state must be normalized to 1e-12")
+        check_normalized(amps, "pair state", 1e-12)
 
     @property
     def d(self) -> int:
@@ -93,8 +93,7 @@ def _pair_labels(d: int) -> tuple:
 
 def to_relative_basis(state: QuditPairState) -> QuditPairState:
     """Relabel (x1, x2) -> (x_r, x_a) = (x1 - x2, x1 + x2) mod d."""
-    if state.view != PRODUCT:
-        raise ValueError(f"expected a product-view state, got {state.view!r}")
+    check_match("view", state.view, PRODUCT)
     out = np.empty_like(state.amplitudes)
     out[_pair_labels(state.d)] = state.amplitudes
     return QuditPairState(out, view=RELATIVE)
@@ -102,8 +101,7 @@ def to_relative_basis(state: QuditPairState) -> QuditPairState:
 
 def from_relative_basis(state: QuditPairState) -> QuditPairState:
     """Relabel (x_r, x_a) -> (x1, x2) = ((x_a+x_r)/2, (x_a-x_r)/2) mod d."""
-    if state.view != RELATIVE:
-        raise ValueError(f"expected a relative-view state, got {state.view!r}")
+    check_match("view", state.view, RELATIVE)
     return QuditPairState(state.amplitudes[_pair_labels(state.d)], view=PRODUCT)
 
 
@@ -265,8 +263,7 @@ def twirled_relative(state: QuditPairState, prior) -> DensityMatrix:
 def sum_gate(state: QuditPairState) -> QuditPairState:
     """|x_r, x_a> -> |x_r, x_a + x_r mod d>: a permutation that commutes
     with every displacement."""
-    if state.view != RELATIVE:
-        raise ValueError(f"expected a relative-view state, got {state.view!r}")
+    check_match("view", state.view, RELATIVE)
     x_r = np.arange(state.d)[:, None]
     target = x_r + np.arange(state.d)  # the one d x d label grid, x_a + x_r mod d
     target %= state.d

@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import _block_ket, block_dim, block_offset
 from .fock import CHUNK_ENTRIES, _abs2, _alignment, _conj_products, _lag_zero, check_count
-from .fock import _real_part, check_entries, check_finite
+from .fock import _real_part, check_entries, check_finite, check_match, check_normalized
 
 __all__ = [
     "Observable",
@@ -291,9 +291,12 @@ def _phase_twirl(psi: np.ndarray, labels: np.ndarray, prior, basis) -> PhaseTwir
     sum over whole rows of the prior's angles, about ``CHUNK_ENTRIES``
     entries at a time: each row is its own sum, so the table has the same
     bits for any chunk, and the temporaries of one chunk do not grow with
-    max q.  chi(-m) is its conjugate, the same bits as the sum for -m."""
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError("input state must be normalized to 1e-10")
+    max q.  chi(-m) is its conjugate, the same bits as the sum for -m.  A
+    prior that is neither ``UNIFORM`` nor a ``PriorGrid``, or a ket not
+    normalized to 1e-10, raises ValueError."""
+    if not isinstance(prior, (UniformPrior, PriorGrid)):
+        raise ValueError(f"prior must be UNIFORM or a PriorGrid, got {prior!r}")
+    check_normalized(psi, "input state", 1e-10)
     span = labels.max()
     half = np.zeros(span + 1, dtype=complex)
     if not isinstance(prior, UniformPrior):
@@ -430,10 +433,8 @@ def expectation(obs: Observable, rho) -> float:
     entries at a time into one buffer of the whole product's dtype and
     summed once, so the value has the bits of the one-line sum while the
     state's entries are gathered a chunk at a time."""
-    if obs.basis != rho.basis:
-        raise ValueError(f"basis mismatch: observable {obs.basis!r} vs state {rho.basis!r}")
-    if (obs.dim, obs.dim) != rho.shape:
-        raise ValueError(f"dimension mismatch: {(obs.dim, obs.dim)} vs {rho.shape}")
+    check_match("basis", obs.basis, rho.basis)
+    check_match("dimension", (obs.dim, obs.dim), rho.shape)
     (rows, cols), values = obs.index, obs.values
     # real times real stays real: np.sum rounds a float array differently
     # from the same values cast to complex

@@ -204,7 +204,7 @@ class TestTwirlDemo:
         result = run_cli("twirl-demo", "--n-observables", "-1")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr.strip() == "relphase: --n-observables must be >= 0, got -1"
+        assert result.stderr.strip() == "relphase: --n-observables must be an integer >= 0, got -1"
 
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs Linux VmHWM")
     def test_observables_drawn_one_at_a_time(self, tmp_path):
@@ -240,7 +240,7 @@ class TestTwirlDemo:
     def test_zero_cutoff_names_the_flag(self):
         result = run_cli("twirl-demo", "--n-max", "0")
         assert result.returncode == 2
-        assert result.stderr.splitlines() == ["relphase: --n-max must be >= 1, got 0"]
+        assert result.stderr.splitlines() == ["relphase: --n-max must be an integer >= 1, got 0"]
 
     def test_large_kappa_rows_finite(self):
         result = run_cli("twirl-demo", "--prior", "vonmises:1e4")

@@ -146,9 +146,9 @@ class TestBasisChange:
 
     def test_wrong_view_rejected(self):
         rng = np.random.default_rng(14)
-        with pytest.raises(ValueError, match="product-view"):
+        with pytest.raises(ValueError, match="^view mismatch: 'relative' vs 'product'$"):
             to_relative_basis(random_pair(rng, 5, view="relative"))
-        with pytest.raises(ValueError, match="relative-view"):
+        with pytest.raises(ValueError, match="^view mismatch: 'product' vs 'relative'$"):
             from_relative_basis(random_pair(rng, 5, view="product"))
 
 
@@ -563,7 +563,7 @@ class TestSumGate:
 
     def test_requires_relative_view(self):
         rng = np.random.default_rng(36)
-        with pytest.raises(ValueError, match="relative-view"):
+        with pytest.raises(ValueError, match="^view mismatch: 'product' vs 'relative'$"):
             sum_gate(random_pair(rng, 5, view="product"))
 
 

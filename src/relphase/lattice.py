@@ -15,8 +15,8 @@ import numpy as np
 
 from .fock import DensityMatrix, _alignment, _conj_products, check_count, check_entries, check_finite
 from .fock import check_match, check_normalized
-from .twirl import TWO_PI, PhaseTwirl, PriorGrid, _check_prior_weights, _phase_twirl
-from .twirl import _difference_sums, read_prior_rows, read_prior_spec, von_mises_prior
+from .twirl import PhaseTwirl, _check_prior_weights, _difference_sums, read_prior_rows
+from .twirl import read_prior_spec, von_mises_prior
 
 __all__ = [
     "PairTwirl",
@@ -178,14 +178,18 @@ class PairTwirl:
     @cached_property
     def momentum_twirl(self) -> PhaseTwirl:
         """The same state over collective momentum p: D(X) multiplies the
-        amplitude at p by e^{-i (2 pi k / d) p} with k = 2X mod d, so it is
-        the phase twirl with labels p and weight P(k (d+1)/2 mod d) on the
-        angle 2 pi k / d.  Its flat index is x_r * d + p, so its basis tag
-        is ``"lattice_momentum"``, not the pair twirl's."""
+        amplitude at p by e^{-2 pi i (2X) p / d}, so it is the phase twirl
+        with labels p and chi(m) = sum_X P(X) e^{-2 pi i (2X) m / d}, the DFT
+        of the shift weights read at 2m mod d.  The DFT is exact on the
+        group's own angles, so no m phi is rounded.  chi(0) is 1, the total
+        weight to 1e-12 (``_check_prior_weights``), and chi(-m) is the
+        conjugate of chi(m), as in every phase twirl's table.  Its flat
+        index is x_r * d + p, so its basis tag is ``"lattice_momentum"``,
+        not the pair twirl's."""
         d = self.amplitudes.shape[0]
-        k = np.arange(d)
-        prior = PriorGrid(TWO_PI * k / d, self.weights[k * ((d + 1) // 2) % d])
-        return _phase_twirl(_momentum(self.amplitudes), np.tile(k, d), prior, "lattice_momentum")
+        half = np.fft.fft(self.weights)[2 * np.arange(1, d) % d]  # lags 1..d-1
+        chi = np.concatenate([half[::-1].conj(), [1.0], half])
+        return PhaseTwirl(_momentum(self.amplitudes), np.tile(np.arange(d), d), chi, "lattice_momentum")
 
     def entries(self, rows, cols) -> np.ndarray:
         """rho[rows[i], cols[i]] = sum_X P(X) k_X[rows[i]] k_X[cols[i]]^*, with

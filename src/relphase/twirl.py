@@ -17,6 +17,7 @@ charge reads only same-charge entries, so its expectation is the same under
 every prior, bit for bit.
 """
 
+import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,9 +132,12 @@ def von_mises_prior(kappa: float, n_points: int = GRID_RESOLUTION) -> PriorGrid:
 
 def read_prior_rows(path, value_name: str) -> list:
     """(value, weight) float pairs from the rows ``<value>,<weight>`` of a
-    prior file; blank lines and lines starting with ``#`` are skipped."""
+    prior file; blank lines and lines starting with ``#`` are skipped.  The
+    path is a str, bytes or ``os.PathLike`` (``os.fspath``): an integer
+    raises TypeError, where ``open`` would read it as a file descriptor and
+    close it."""
     rows = []
-    with open(path) as handle:
+    with open(os.fspath(path)) as handle:
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -33,7 +34,9 @@ from relphase import (
 from relphase.lattice import PairTwirl, _pair_labels
 from relphase.twirl import PhaseTwirl
 
-from conftest import HAS_VMHWM, assert_refused, peak_mb, random_state_vector
+from conftest import FIXTURES, HAS_VMHWM, assert_refused, peak_mb, random_state_vector
+
+LATTICE_CHI = json.loads((FIXTURES / "oracle_stress.json").read_text())["lattice_chi"]
 
 
 def random_pair(rng, d, view="relative"):
@@ -491,6 +494,21 @@ def test_phase_and_shift_priors_share_one_grammar(spec):
     with pytest.raises(ValueError) as shift:
         shift_prior(spec, 5)
     assert str(shift.value) == str(phase.value).replace("angles", "shifts")
+
+
+@pytest.mark.parametrize("spec, d", sorted({(row["prior"], row["d"]) for row in LATTICE_CHI}))
+def test_pair_twirl_chi_matches_mpmath_rows(spec, d):
+    # chi is the DFT of the shift weights, so no lag's angle is rounded:
+    # within 5e-16 of the 40-digit rows at every lag; chi(0) is exactly 1,
+    # and chi(-m) is the conjugate of chi(m), bit for bit
+    state = QuditPairState(np.eye(1, d * d).reshape(d, d), view="relative")
+    chi = twirl_displacement(state, shift_prior(spec, d)).momentum_twirl.chi
+    assert chi.shape == (2 * d - 1,) and chi[d - 1] == 1.0
+    assert np.array_equal(chi[: d - 1][::-1], chi[d:].conj())
+    rows = [row for row in LATTICE_CHI if (row["prior"], row["d"]) == (spec, d)]
+    assert len(rows) == 6
+    for row in rows:
+        assert abs(chi[d - 1 + row["lag"]] - complex(row["re"], row["im"])) <= 5e-16
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 31, 101])

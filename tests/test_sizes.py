@@ -12,6 +12,7 @@ Every callable in ``relphase.__all__`` has a refusal row here keyed
 ``<public name>-...``, or sits on ``EXEMPT``."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -471,6 +472,27 @@ OUTSIDE_THE_DOMAIN = {
 @pytest.mark.parametrize("call, message", OUTSIDE_THE_DOMAIN.values(), ids=OUTSIDE_THE_DOMAIN.keys())
 def test_input_outside_the_domain_is_refused(call, message):
     assert_refused(call, ValueError, f"^{re.escape(message)}$")
+
+
+# a prior file path is a str, bytes or os.PathLike (os.fspath): an integer,
+# numpy's too, is refused with Python's own TypeError, where open would read
+# it as a file descriptor and close it
+@pytest.mark.parametrize("kind", [int, np.int64])
+@pytest.mark.parametrize(
+    "read",
+    [grid_prior_from_csv, lambda path: read_prior_rows(path, "shift")],
+    ids=["grid_prior_from_csv", "read_prior_rows"],
+)
+def test_file_descriptor_is_not_a_prior_path(read, kind):
+    fd, writer = os.pipe()
+    os.write(writer, b"0.0,1.0\n")
+    os.close(writer)
+    try:
+        message = f"^expected str, bytes or os.PathLike object, not {kind.__name__}$"
+        assert_refused(lambda: read(kind(fd)), TypeError, message)
+        os.fstat(fd)  # still open: nothing read or closed it
+    finally:
+        os.close(fd)
 
 
 def _matrix(x):

@@ -281,7 +281,13 @@ CASES = [
             PAIR.format(d=d) + "\nfrom relphase import purity",
             "purity(twirl_displacement(state, prior))",
         )
-        for d in (61, 101)
+        for d in (61, 101, 1001, 2895)
+    ),
+    call(
+        "hs_distance of two pair twirls, vonmises:4 and uniform",
+        "d = 1001",
+        PAIR.format(d=1001) + "\nfrom relphase import hs_distance\nflat = shift_prior('uniform', d)",
+        "hs_distance(twirl_displacement(state, prior), twirl_displacement(state, flat))",
     ),
     call(
         "contraction_overlap(2, N)",

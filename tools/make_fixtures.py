@@ -9,8 +9,9 @@ and asserted by the test suite; rerun this script only to audit them.  The
 stress file holds the factorization rows at |beta| = 64 and 100 (grids of
 22 x 4747 and 22 x 11011), at |beta| = 300 and 1000 (summed over the
 window of the grid only), contraction overlaps up to N = 10**6 and at
-|z| = 50, and the spin log-profile at N = 10**5, kept apart so that
-oracle.json stays as it was.
+|z| = 50, the spin log-profile at N = 10**5, and the characteristic
+function of the lattice pair twirl under three shift priors, kept apart so
+that oracle.json stays as it was.
 
     pip install -e '.[fixtures]' && python tools/make_fixtures.py
 """
@@ -41,6 +42,13 @@ PROFILE_CONTRACTION = [(10, 10**5), (25, 10**5)]
 SPIN_PROFILE_N = 10**5
 SPIN_PROFILE_XI = 0.8
 SPIN_PROFILE_K = [0, 1, 20000, 37500, 39024, 40500, 60000, 99999, 10**5]
+# The pair twirl's chi(m) = sum_X P(X) e^{-2 pi i (2X) m / d} over collective
+# momentum, from the exact shift weights: (prior spec, d, lags m)
+LATTICE_CHI = [
+    ("vonmises:4", 1001, [1, 2, 7, 500, 999, 1000]),
+    ("point:1", 61, [1, 2, 7, 30, 31, 60]),
+    ("twopoint:0,2", 61, [1, 2, 7, 30, 31, 60]),
+]
 
 
 def poisson_tail(mean, n_max):
@@ -208,6 +216,28 @@ def factorization_case(alpha_mag, beta_mag, z_mag, n1_max=None, n2_max=None, win
     }
 
 
+def shift_weights(spec, d):
+    """Exact weights P(X) over Z_d of a ``vonmises:<kappa>``, ``point:<x>``
+    or ``twopoint:<x1>,<x2>`` shift prior: exp(kappa cos(2 pi X / d))
+    normalized, or equal weights on the integer shifts mod d."""
+    name, _, arg = spec.partition(":")
+    if name == "vonmises":
+        raw = [mp.exp(mp.mpf(arg) * mp.cos(2 * mp.pi * x / d)) for x in range(d)]
+        total = mp.fsum(raw)
+        return [w / total for w in raw]
+    shifts = [int(x) % d for x in arg.split(",")]
+    weights = [mp.mpf(0)] * d
+    for x in shifts:
+        weights[x] += mp.mpf(1) / len(shifts)
+    return weights
+
+
+def lattice_chi(weights, d, m):
+    """sum_X P(X) e^{-2 pi i (2X) m / d}: D(X) moves the collective
+    coordinate by 2X, so it multiplies momentum p by e^{-2 pi i (2X) p / d}."""
+    return mp.fsum(w * mp.expjpi(-4 * mp.mpf(x) * m / d) for x, w in enumerate(weights))
+
+
 def sum_entangled_relative_purity(d, amps):
     """Exact Fraction purity of the relative register after a uniform
     displacement twirl of sum_{r} t_r |x_r=r, x_a=r mod d>.
@@ -308,12 +338,20 @@ def main():
          "log_amplitude": float(log_spin_profile(SPIN_PROFILE_N, SPIN_PROFILE_XI, k))}
         for k in SPIN_PROFILE_K
     ]
+    chi_rows = []
+    for spec, d, lags in LATTICE_CHI:
+        weights = shift_weights(spec, d)
+        for m in lags:
+            chi = lattice_chi(weights, d, m)
+            chi_rows.append({"prior": spec, "d": d, "lag": m, "re": float(chi.real),
+                             "im": float(chi.imag)})
     write(
         STRESS_OUT,
         {
             "contraction_overlap_stress": contraction,
             "contraction_overlap_profile": profile_contraction,
             "factorization_stress_alpha1": stress,
+            "lattice_chi": chi_rows,
             "spin_log_profile": spin_profile,
         },
     )

@@ -26,8 +26,7 @@ import numpy as np
 from .blocks import cutoff_or_default
 from .factorize import InsufficientCutoffError, sweep_fidelity
 from .fock import SizeLimitError, check_count, check_finite, coherent_vector, purity
-from .lattice import QuditPairState, _require_odd, reduced_relative, relative_pair, shift_prior
-from .lattice import sum_gate, twirl_displacement
+from .lattice import QuditPairState, _require_odd, relative_pair, shift_prior, sum_gate, twirled_relative
 from .spin import contraction_overlap
 from .twirl import _Gaussians, coherence_witness, expectation, parse_prior
 from .twirl import random_commutant_observable, twirl_single_mode
@@ -186,12 +185,11 @@ def cmd_way_demo(args) -> None:
     for d in dims:
         priors = [(spec, shift_prior(spec, d)) for spec in args.priors]
         for scenario, state in _way_scenarios(d, draw):
-            # every prior is checked, in order, but rho_rel = A A^dag is the
-            # same under every prior, the point prior at X = 0 included, so it
-            # is formed once, and its overlap with the input's is its purity
-            twirls = [twirl_displacement(state, prior) for _, prior in priors]
-            value = float(purity(reduced_relative(twirls[0])))
-            del state, twirls  # no grid is held while the next one is built
+            # every prior was checked by shift_prior, but rho_rel = A A^dag is
+            # the same under every prior, the point prior at X = 0 included, so
+            # it is formed once, and its overlap with the input's is its purity
+            value = float(purity(twirled_relative(state, priors[0][1])))
+            del state  # no grid is held while the next one is built
             for spec, _ in priors:
                 row = {"d": int(d), "scenario": scenario, "prior": spec, "relative_purity": value}
                 rows.append({**row, "relative_fidelity_to_input": value})

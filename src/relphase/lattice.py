@@ -135,7 +135,7 @@ def shift_prior(spec: str, d: int) -> np.ndarray:
             weights[int(check_finite(shift, "lattice shift")) % d] += weight
         return weights
 
-    return read_prior_spec(
+    return _check_prior_weights(read_prior_spec(
         spec,
         "shift",
         uniform=lambda: np.full(d, 1.0 / d),
@@ -143,7 +143,7 @@ def shift_prior(spec: str, d: int) -> np.ndarray:
         two_point=lambda x1, x2: shifts((x1, 0.5), (x2, 0.5)),
         von_mises=lambda kappa: von_mises_prior(kappa, n_points=d).weights,
         grid=lambda path: shifts(*read_prior_rows(path, "shift")),
-    )
+    ), "shift prior", d)
 
 
 def _momentum(amplitudes: np.ndarray) -> np.ndarray:
@@ -176,20 +176,26 @@ class PairTwirl:
         return (self.amplitudes.size, self.amplitudes.size)
 
     @cached_property
+    def chi(self) -> np.ndarray:
+        """chi(m) = sum_X P(X) e^{-2 pi i (2X) m / d} for |m| < d, at
+        ``chi[m + d - 1]``: the DFT of the shift weights read at 2m mod d,
+        which is exact on the group's own angles, so no m phi is rounded.
+        chi(0) is 1, the total weight to 1e-12 (``_check_prior_weights``),
+        and chi(-m) is the conjugate of chi(m), as in every phase twirl's
+        table.  It needs the weights alone, so ``hs_distance`` reads it from
+        both operands without building either's momentum twirl."""
+        half = np.fft.fft(self.weights)[2 * np.arange(1, self.weights.size) % self.weights.size]
+        return np.concatenate([half[::-1].conj(), [1.0], half])
+
+    @cached_property
     def momentum_twirl(self) -> PhaseTwirl:
         """The same state over collective momentum p: D(X) multiplies the
         amplitude at p by e^{-2 pi i (2X) p / d}, so it is the phase twirl
-        with labels p and chi(m) = sum_X P(X) e^{-2 pi i (2X) m / d}, the DFT
-        of the shift weights read at 2m mod d.  The DFT is exact on the
-        group's own angles, so no m phi is rounded.  chi(0) is 1, the total
-        weight to 1e-12 (``_check_prior_weights``), and chi(-m) is the
-        conjugate of chi(m), as in every phase twirl's table.  Its flat
-        index is x_r * d + p, so its basis tag is ``"lattice_momentum"``,
-        not the pair twirl's."""
+        with labels p and the table ``chi``.  Its flat index is
+        x_r * d + p, so its basis tag is ``"lattice_momentum"``, not the
+        pair twirl's."""
         d = self.amplitudes.shape[0]
-        half = np.fft.fft(self.weights)[2 * np.arange(1, d) % d]  # lags 1..d-1
-        chi = np.concatenate([half[::-1].conj(), [1.0], half])
-        return PhaseTwirl(_momentum(self.amplitudes), np.tile(np.arange(d), d), chi, "lattice_momentum")
+        return PhaseTwirl(_momentum(self.amplitudes), np.tile(np.arange(d), d), self.chi, "lattice_momentum")
 
     def entries(self, rows, cols) -> np.ndarray:
         """rho[rows[i], cols[i]] = sum_X P(X) k_X[rows[i]] k_X[cols[i]]^*, with
@@ -221,12 +227,11 @@ class PairTwirl:
         towards these (``fock._alignment``), and then moved to momentum: the
         FFT is linear, so d stays exact where two FFT outputs would
         cancel."""
-        x, y = self.amplitudes, other.amplitudes
-        mine, chi_b = self.momentum_twirl, other.momentum_twirl.chi
+        x, y, mine = self.amplitudes, other.amplitudes, self.momentum_twirl
         # one sum over every entry, so its phase is global under any prior
         cross = (np.sum(part, keepdims=True) for part in _conj_products(x, y))
-        d = _momentum((y - x) + _alignment(*cross, mine.chi, chi_b) * y)
-        return (*_difference_sums(mine.psi, d, mine.labels, x.shape[0]), mine.chi, chi_b)
+        d = _momentum((y - x) + _alignment(*cross, self.chi, other.chi) * y)
+        return (*_difference_sums(mine.psi, d, mine.labels, x.shape[0]), self.chi, other.chi)
 
     @cached_property
     def matrix(self) -> np.ndarray:

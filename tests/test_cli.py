@@ -427,8 +427,8 @@ class TestWayDemo:
         assert "odd" in result.stderr
 
     def test_every_prior_is_checked(self, tmp_path):
-        # rho_rel is formed once per scenario, but each prior still goes
-        # through twirl_displacement, so a bad second prior is refused; a
+        # rho_rel is formed once per scenario, but each prior is checked
+        # where shift_prior reads it, so a bad second prior is refused; a
         # phase prior file is refused in the same words, the sum as a float
         path = tmp_path / "half.csv"
         path.write_text("0,0.5\n")

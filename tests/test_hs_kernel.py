@@ -274,6 +274,20 @@ def test_twirls_are_compared_without_their_matrices(monkeypatch, rho, sigma):
     assert hs_distance(rho, sigma) == pytest.approx(dense, rel=1e-12)
 
 
+def test_pair_twirls_build_one_momentum_twirl():
+    # the second operand's chi needs its shift weights alone, so its
+    # momentum twirl (an FFT of its d x d grid and a d^2 label tile) is
+    # not built; the first operand's reads the table it caches
+    rng = np.random.default_rng(33)
+    d = 31
+    x, y = (unit(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) for _ in "xy")
+    a = twirl_displacement(QuditPairState(x, "relative"), shift_prior("vonmises:4", d))
+    b = twirl_displacement(QuditPairState(y, "relative"), shift_prior("uniform", d))
+    assert 0.0 < hs_distance(a, b) < 2.0
+    assert "momentum_twirl" not in vars(b)
+    assert a.momentum_twirl.chi is a.chi
+
+
 def test_twirl_pair_reads_in_bounded_memory():
     # the two alpha = 2 twirls are 2415 x 2415: their dense matrices and
     # their difference took a 280 MB tracemalloc peak

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from relphase.twirl import PhaseTwirl
 
 from conftest import FIXTURES, HAS_VMHWM, assert_refused, peak_mb, random_state_vector
 
-LATTICE_CHI = json.loads((FIXTURES / "oracle_stress.json").read_text())["lattice_chi"]
+STRESS = json.loads((FIXTURES / "oracle_stress.json").read_text())
+LATTICE_CHI, LATTICE_PURITY = STRESS["lattice_chi"], STRESS["lattice_purity"]
 
 
 def random_pair(rng, d, view="relative"):
@@ -106,6 +108,18 @@ class TestStateConstruction:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             QuditPairState(np.ones((3, 3), dtype=complex))
+
+    def test_exactly_normalized_large_grid_accepted(self):
+        # a million equal terms of 1/1001: a BLAS dot read this norm 1.2e-12
+        # off, and the pairwise sum reads it exactly
+        psi = momentum_eigenstate(1001, 0)
+        assert product_pair(psi, psi).d == 1001
+
+    def test_large_grid_off_by_1e_11_rejected(self):
+        psi = momentum_eigenstate(1001, 0)
+        grid = np.outer(psi, psi) * (1 + 1e-11)
+        with pytest.raises(ValueError, match="^pair state must be normalized to 1e-12$"):
+            QuditPairState(grid)
 
     def test_nan_amplitudes_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -509,6 +523,43 @@ def test_pair_twirl_chi_matches_mpmath_rows(spec, d):
     assert len(rows) == 6
     for row in rows:
         assert abs(chi[d - 1 + row["lag"]] - complex(row["re"], row["im"])) <= 5e-16
+
+
+def unit_by_exact_sum(x: np.ndarray) -> np.ndarray:
+    return x / math.sqrt(math.fsum(np.abs(x.ravel()) ** 2))
+
+
+def formula_pair(kind: str, d: int) -> QuditPairState:
+    """The formula-built states of the ``lattice_purity`` rows
+    (tools/make_fixtures.py), in the relative view: "relative" is
+    (1 + r/d) exp(4 cos(2 pi (a - 3r) / d) + 2 pi i r a / d) over
+    (x_r, x_a) = (r, a), "product" the product of 1 + r/d and
+    exp(16 cos(2 pi a / d) + 2 pi i a^2 / d); each angle is reduced mod d
+    as an integer first."""
+    r, a = np.arange(d)[:, None], np.arange(d)
+    if kind == "relative":
+        angles = 4 * np.cos(2 * np.pi * ((a - 3 * r) % d) / d) + 2j * np.pi * (r * a % d) / d
+        return QuditPairState(unit_by_exact_sum((1 + r / d) * np.exp(angles)), "relative")
+    profile = np.exp(16 * np.cos(2 * np.pi * a / d) + 2j * np.pi * (a * a % d) / d)
+    return relative_pair(unit_by_exact_sum(1 + a / d), unit_by_exact_sum(profile))
+
+
+def test_pair_twirl_reads_match_mpmath_rows():
+    # purity and fidelity to the input of pair twirls of formula states,
+    # against 40-digit sums from the exact shift weights: every row within
+    # 1e-15, and the worst error is reported
+    worst, where = 0.0, None
+    for (kind, d), rows in groupby(LATTICE_PURITY, key=lambda row: (row["state"], row["d"])):
+        state = formula_pair(kind, d)
+        for row in rows:
+            rho = twirl_displacement(state, shift_prior(row["prior"], d))
+            reads = {"purity": purity(rho), "fidelity": fidelity_pure_mixed(state.amplitudes.ravel(), rho)}
+            for name, value in reads.items():
+                if abs(value - row[name]) >= worst:
+                    worst, where = abs(value - row[name]), (kind, d, row["prior"], name)
+    print(f"worst error {worst:.3g} at {where}")
+    assert len(LATTICE_PURITY) == 9
+    assert worst <= 1e-15, f"worst error {worst:.3g} at {where}"
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 31, 101])

@@ -88,6 +88,7 @@ UNIT_GRID = GRID / np.sqrt(2)
 FOCK_2, FOCK_3 = DensityMatrix(np.eye(2) / 2, "fock"), DensityMatrix(np.eye(3) / 3, "fock")
 BLOCK_2 = DensityMatrix(np.eye(2) / 2, "block")
 NO_WEIGHT = FIXTURES / "prior_row_without_weight.csv"
+OVER_ONE = FIXTURES / "shift_weights_over_one.csv"
 
 
 def _run(*argv):
@@ -431,6 +432,10 @@ OUTSIDE_THE_DOMAIN = {
         "shift prior weights must sum to 1, got 2.5",
     ),
     "shift_prior-spec": (lambda: shift_prior("bogus", 5), "unknown prior spec 'bogus'"),
+    "shift_prior-grid-weights": (
+        lambda: shift_prior(f"grid:{OVER_ONE}", 5),
+        "shift prior weights must sum to 1, got 1.2",
+    ),
     "parse_prior-spec": (lambda: parse_prior("bogus"), "unknown prior spec 'bogus'"),
     "parse_prior-uniform-parameter": (
         lambda: parse_prior("uniform:1"),

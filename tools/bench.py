@@ -2,7 +2,11 @@
 """Wall time and peak memory of relphase at the sizes of the Baseline table
 in ROADMAP.md, one case per fresh interpreter.
 
-    python3 tools/bench.py > BENCH_<n>.json
+    python3 tools/bench.py [NAME ...] > BENCH_<n>.json
+
+With arguments, only the cases whose name holds one of them as a
+substring run (``python3 tools/bench.py hs_distance "CLI way-demo"``);
+with none, every case runs.
 
 Every case runs in a child ``python -c`` that imports relphase from the
 ``src/`` next to this file and reads its own peak resident memory from
@@ -283,11 +287,14 @@ CASES = [
         )
         for d in (61, 101, 1001, 2895)
     ),
-    call(
-        "hs_distance of two pair twirls, vonmises:4 and uniform",
-        "d = 1001",
-        PAIR.format(d=1001) + "\nfrom relphase import hs_distance\nflat = shift_prior('uniform', d)",
-        "hs_distance(twirl_displacement(state, prior), twirl_displacement(state, flat))",
+    *(
+        call(
+            "hs_distance of two pair twirls, vonmises:4 and uniform",
+            f"d = {d}",
+            PAIR.format(d=d) + "\nfrom relphase import hs_distance\nflat = shift_prior('uniform', d)",
+            "hs_distance(twirl_displacement(state, prior), twirl_displacement(state, flat))",
+        )
+        for d in (1001, 2895)
     ),
     call(
         "contraction_overlap(2, N)",
@@ -350,8 +357,11 @@ def run(case, versions) -> dict:
 
 def main():
     versions = {"numpy": version("numpy"), "python": platform.python_version()}
+    names = sys.argv[1:]
     rows = []
     for case in CASES:
+        if names and not any(name in case["case"] for name in names):
+            continue
         print(f"bench: {case['case']} ({case['size']})", file=sys.stderr)
         rows.append(run(case, versions))
     print("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]")

@@ -9,9 +9,10 @@ and asserted by the test suite; rerun this script only to audit them.  The
 stress file holds the factorization rows at |beta| = 64 and 100 (grids of
 22 x 4747 and 22 x 11011), at |beta| = 300 and 1000 (summed over the
 window of the grid only), contraction overlaps up to N = 10**6 and at
-|z| = 50, the spin log-profile at N = 10**5, and the characteristic
-function of the lattice pair twirl under three shift priors, kept apart so
-that oracle.json stays as it was.
+|z| = 50, the spin log-profile at N = 10**5, the characteristic function
+of the lattice pair twirl under three shift priors, and the purity and
+fidelity of pair twirls of formula-built states under the same priors, kept
+apart so that oracle.json stays as it was.
 
     pip install -e '.[fixtures]' && python tools/make_fixtures.py
 """
@@ -49,6 +50,10 @@ LATTICE_CHI = [
     ("point:1", 61, [1, 2, 7, 30, 31, 60]),
     ("twopoint:0,2", 61, [1, 2, 7, 30, 31, 60]),
 ]
+# Pair twirls of formula-built relative-view states, (state, d): "relative"
+# is brute force over d^3 terms, "product" needs a 1-D sum per lag
+LATTICE_PURITY = [("relative", 31), ("relative", 101), ("product", 1001)]
+LATTICE_PURITY_PRIORS = ["vonmises:4", "twopoint:0,2", "point:1"]
 
 
 def poisson_tail(mean, n_max):
@@ -238,6 +243,41 @@ def lattice_chi(weights, d, m):
     return mp.fsum(w * mp.expjpi(-4 * mp.mpf(x) * m / d) for x, w in enumerate(weights))
 
 
+def formula_rows(kind, d):
+    """The rows A[x_r] over x_a that C(s) sums over, not yet normalized.
+    "relative" is A[r][a] = (1 + r/d) exp(4 cos(2 pi (a - 3r) / d) + 2 pi i r a / d),
+    every row.  "product" is (1 + r/d) v(a), v(a) = exp(16 cos(2 pi a / d)
+    + 2 pi i a^2 / d): once normalized, its C(s) is the 1-D sum over v."""
+    if kind == "relative":
+        return [[(1 + mp.mpf(r) / d) * mp.exp(4 * mp.cos(2 * mp.pi * (a - 3 * r) / d)
+                                              + 2j * mp.pi * r * a / d) for a in range(d)]
+                for r in range(d)]
+    return [[mp.exp(16 * mp.cos(2 * mp.pi * a / d) + 2j * mp.pi * a * a / d) for a in range(d)]]
+
+
+def shift_overlaps(rows, d):
+    """C(s) = sum_{r,b} A[r][b]^* A[r][b + s mod d] / sum |A|^2 for s in Z_d:
+    <k_X|k_Y> = C(2(X - Y)) for the shifted kets k_X[r][a] = A[r][a - 2X]."""
+    c = [mp.fsum(mp.conj(row[b]) * row[(b + s) % d] for row in rows for b in range(d))
+         for s in range(d)]
+    return [value / c[0] for value in c]
+
+
+def lattice_purity(kind, d, specs):
+    """Rows of the purity sum_{X,Y} P(X) P(Y) |C(2(X - Y))|^2 and the
+    fidelity to the input sum_X P(X) |C(2X)|^2 of the pair twirl of a
+    formula state, one per shift prior."""
+    overlap2 = [abs(c) ** 2 for c in shift_overlaps(formula_rows(kind, d), d)]
+    rows = []
+    for spec in specs:
+        support = [(x, w) for x, w in enumerate(shift_weights(spec, d)) if w]
+        purity = mp.fsum(wx * wy * overlap2[2 * (x - y) % d] for x, wx in support for y, wy in support)
+        fidelity = mp.fsum(w * overlap2[2 * x % d] for x, w in support)
+        rows.append({"state": kind, "d": d, "prior": spec, "purity": float(purity),
+                     "fidelity": float(fidelity)})
+    return rows
+
+
 def sum_entangled_relative_purity(d, amps):
     """Exact Fraction purity of the relative register after a uniform
     displacement twirl of sum_{r} t_r |x_r=r, x_a=r mod d>.
@@ -352,6 +392,10 @@ def main():
             "contraction_overlap_profile": profile_contraction,
             "factorization_stress_alpha1": stress,
             "lattice_chi": chi_rows,
+            "lattice_purity": [
+                row for kind, d in LATTICE_PURITY
+                for row in lattice_purity(kind, d, LATTICE_PURITY_PRIORS)
+            ],
             "spin_log_profile": spin_profile,
         },
     )
